@@ -812,11 +812,24 @@ impl<'a> Planner<'a> {
             .map(|k| b.kernel(&k.name, k.profile))
             .collect();
 
+        // Weighted kernels' prefix sums: O(domain) each, so built once per
+        // kernel rather than per emitted instance group.
+        let prefixes: Vec<Option<Vec<f64>>> = desc.kernels.iter().map(weight_prefix).collect();
+
         let order = self.kernel_order(desc);
         let iterations = desc.iterations();
         for it in 0..iterations {
             for (pos, &k) in order.iter().enumerate() {
-                self.emit_kernel(&mut b, desc, k, kernel_ids[k], &config, &kernel_configs)?;
+                let prefix = prefixes[k].as_deref();
+                self.emit_kernel(
+                    &mut b,
+                    desc,
+                    k,
+                    kernel_ids[k],
+                    prefix,
+                    &config,
+                    &kernel_configs,
+                )?;
                 let last_kernel = pos + 1 == order.len();
                 let sync_here = self.taskwait_after(desc, &config, last_kernel);
                 if sync_here && !(last_kernel && it + 1 == iterations) {
@@ -864,12 +877,14 @@ impl<'a> Planner<'a> {
     }
 
     /// Emit the instances of one kernel invocation.
+    #[allow(clippy::too_many_arguments)]
     fn emit_kernel(
         &self,
         b: &mut ProgramBuilder,
         desc: &AppDescriptor,
         k: usize,
         kid: KernelId,
+        prefix: Option<&[f64]>,
         config: &ExecutionConfig,
         kernel_configs: &[Option<KernelSplit>],
     ) -> Result<(), PlanError> {
@@ -878,26 +893,20 @@ impl<'a> Planner<'a> {
         let m = self.instances_per_kernel;
         let cpu = self.platform.cpu().id;
         let gpu = self.gpu().id;
+        let mut emit = |start, end, parts, dev| {
+            self.emit_split(b, desc, spec, kid, prefix, start, end, parts, dev)
+        };
 
         match config {
             ExecutionConfig::OnlyCpu => {
-                self.emit_split(b, desc, spec, kid, 0, n, m, Some(cpu))?;
+                emit(0, n, m, Some(cpu))?;
             }
             ExecutionConfig::OnlyGpu => {
-                self.emit_split(b, desc, spec, kid, 0, n, 1, Some(gpu))?;
+                emit(0, n, 1, Some(gpu))?;
             }
             ExecutionConfig::Strategy(Strategy::DpDep)
             | ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                self.emit_split(
-                    b,
-                    desc,
-                    spec,
-                    kid,
-                    0,
-                    n,
-                    self.dynamic_instances_per_kernel,
-                    None,
-                )?;
+                emit(0, n, self.dynamic_instances_per_kernel, None)?;
             }
             ExecutionConfig::Strategy(
                 Strategy::SpSingle | Strategy::SpUnified | Strategy::SpVaried,
@@ -916,12 +925,12 @@ impl<'a> Planner<'a> {
                 {
                     let items = items.min(n - off);
                     if items > 0 {
-                        self.emit_split(b, desc, spec, kid, off, off + items, 1, Some(dev))?;
+                        emit(off, off + items, 1, Some(dev))?;
                         off += items;
                     }
                 }
                 if off < n {
-                    self.emit_split(b, desc, spec, kid, off, n, m, Some(cpu))?;
+                    emit(off, n, m, Some(cpu))?;
                 }
             }
             ExecutionConfig::ConvertedStatic => {
@@ -938,7 +947,7 @@ impl<'a> Planner<'a> {
                 let chunks = split_even(n, md);
                 for (i, (s, e)) in chunks.into_iter().enumerate() {
                     let dev = if (i as u64) < gpu_count { gpu } else { cpu };
-                    self.emit_split(b, desc, spec, kid, s, e, 1, Some(dev))?;
+                    emit(s, e, 1, Some(dev))?;
                 }
             }
         }
@@ -946,7 +955,8 @@ impl<'a> Planner<'a> {
     }
 
     /// Emit `parts` instances covering `[start, end)` of the kernel domain,
-    /// pinned to `dev` (or unpinned for dynamic scheduling).
+    /// pinned to `dev` (or unpinned for dynamic scheduling). `prefix` is the
+    /// kernel's [`weight_prefix`].
     #[allow(clippy::too_many_arguments)]
     fn emit_split(
         &self,
@@ -954,16 +964,16 @@ impl<'a> Planner<'a> {
         desc: &AppDescriptor,
         spec: &KernelSpec,
         kid: KernelId,
+        prefix: Option<&[f64]>,
         start: u64,
         end: u64,
         parts: u64,
         dev: Option<DeviceId>,
     ) -> Result<(), PlanError> {
-        let prefix = weight_prefix(spec);
         for (s, e) in split_even(end - start, parts) {
             let (s, e) = (start + s, start + e);
             let accesses = instance_accesses(desc, spec, s, e)?;
-            let cost_scale = match &prefix {
+            let cost_scale = match prefix {
                 None => 1.0,
                 Some(pre) => {
                     // Average weight of this instance's items, relative to

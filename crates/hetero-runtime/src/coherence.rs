@@ -80,22 +80,17 @@ impl CoherenceDir {
             }
             let mut still_missing = Vec::new();
             for gap in missing {
-                let covered = self.valid[src][buffer.0].intersection_with(gap);
-                for part in &covered {
+                for part in self.valid[src][buffer.0].intersection_with(gap) {
                     transfers.push(Transfer {
                         buffer,
-                        span: *part,
+                        span: part,
                         from: MemSpaceId(src),
                         to: target,
-                        bytes: self.bytes(buffer, *part),
+                        bytes: self.bytes(buffer, part),
                     });
                 }
                 // What `src` couldn't provide remains missing.
-                let mut cover_set = IntervalSet::new();
-                for part in covered {
-                    cover_set.insert(part);
-                }
-                still_missing.extend(cover_set.gaps_within(gap));
+                still_missing.extend(self.valid[src][buffer.0].gaps_within(gap));
             }
             missing = still_missing;
         }
@@ -191,11 +186,8 @@ impl CoherenceDir {
     /// a *non-mutating* query used by locality-aware schedulers to estimate
     /// the data-movement cost of a placement.
     pub fn missing_read_bytes(&self, buffer: BufferId, span: Interval, space: MemSpaceId) -> u64 {
-        self.valid[space.0][buffer.0]
-            .gaps_within(span)
-            .iter()
-            .map(|iv| iv.len() * self.item_bytes[buffer.0])
-            .sum()
+        let missing = span.len() - self.valid[space.0][buffer.0].covered_len(span);
+        missing * self.item_bytes[buffer.0]
     }
 }
 

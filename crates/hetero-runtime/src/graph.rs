@@ -12,7 +12,7 @@
 
 use crate::interval::{Interval, IntervalMap};
 use crate::program::{Op, Program, TaskId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The task dependency graph of a program.
 #[derive(Clone, Debug, Default)]
@@ -26,7 +26,8 @@ pub struct TaskGraph {
 }
 
 impl TaskGraph {
-    /// Analyse a program.
+    /// Analyse a program. Each access costs O(log n) plus the number of
+    /// runs and reader pieces it overlaps.
     pub fn build(program: &Program) -> TaskGraph {
         let n = program.task_count();
         let mut preds: Vec<Vec<TaskId>> = vec![Vec::new(); n];
@@ -35,9 +36,10 @@ impl TaskGraph {
         #[derive(Default)]
         struct BufState {
             writers: IntervalMap<TaskId>,
-            readers: Vec<(Interval, TaskId)>,
+            readers: Readers,
         }
         let mut bufs: BTreeMap<usize, BufState> = BTreeMap::new();
+        let mut hits = Vec::new();
 
         let mut epoch_of = Vec::with_capacity(n);
         let mut epoch = 0usize;
@@ -47,72 +49,46 @@ impl TaskGraph {
                 Op::Taskwait => epoch += 1,
                 Op::Submit(task) => {
                     let id = TaskId(tid);
+                    let ps = &mut preds[tid];
                     epoch_of.push(epoch);
                     for acc in &task.accesses {
                         let state = bufs.entry(acc.region.buffer.0).or_default();
                         let span = acc.region.span;
-                        if acc.mode.reads() {
-                            // RAW: after every overlapping last-writer.
-                            for (_, w) in state.writers.overlapping(span) {
-                                if w != id {
-                                    preds[tid].push(w);
-                                }
-                            }
-                        }
+                        // RAW (a read) and WAW (a write) alike: after every
+                        // overlapping last-writer.
+                        ps.extend(
+                            state
+                                .writers
+                                .overlapping(span)
+                                .map(|(_, &w)| w)
+                                .filter(|&w| w != id),
+                        );
                         if acc.mode.writes() {
-                            // WAW: after overlapping last-writers.
-                            for (_, w) in state.writers.overlapping(span) {
-                                if w != id {
-                                    preds[tid].push(w);
-                                }
-                            }
                             // WAR: after overlapping readers-since-write.
-                            let mut kept = Vec::with_capacity(state.readers.len());
-                            for (iv, r) in state.readers.drain(..) {
-                                if iv.overlaps(&span) {
-                                    if r != id {
-                                        preds[tid].push(r);
-                                    }
-                                    // Keep the non-overlapped leftovers.
-                                    if iv.start < span.start {
-                                        kept.push((
-                                            Interval::new(iv.start, span.start.min(iv.end)),
-                                            r,
-                                        ));
-                                    }
-                                    if iv.end > span.end {
-                                        kept.push((
-                                            Interval::new(span.end.max(iv.start), iv.end),
-                                            r,
-                                        ));
-                                    }
-                                } else {
-                                    kept.push((iv, r));
+                            state.readers.take_overlapping(span, &mut hits, |r| {
+                                if r != id {
+                                    ps.push(r);
                                 }
-                            }
-                            state.readers = kept;
+                            });
                             state.writers.insert(span, id);
-                        }
-                        if acc.mode.reads() && !acc.mode.writes() {
-                            state.readers.push((span, id));
+                        } else {
+                            state.readers.insert(span, id);
                         }
                     }
-                    preds[tid].sort_unstable();
-                    preds[tid].dedup();
+                    ps.sort_unstable();
+                    ps.dedup();
                     tid += 1;
                 }
             }
         }
 
+        // Visiting tasks in order over deduplicated preds leaves every
+        // successor list sorted and duplicate-free.
         let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
         for (t, ps) in preds.iter().enumerate() {
             for p in ps {
                 succs[p.0].push(TaskId(t));
             }
-        }
-        for s in &mut succs {
-            s.sort_unstable();
-            s.dedup();
         }
 
         TaskGraph {
@@ -157,6 +133,55 @@ impl TaskGraph {
     /// Total number of edges (for tests/diagnostics).
     pub fn edge_count(&self) -> usize {
         self.preds.iter().map(Vec::len).sum()
+    }
+}
+
+/// The readers of one buffer since its last overlapping write, as
+/// `(start, end, reader)` pieces ordered by start. A write of `span` takes
+/// every piece that [`Interval::overlaps`] it and puts back the parts outside
+/// `span`.
+#[derive(Default)]
+struct Readers {
+    pieces: BTreeSet<(u64, u64, TaskId)>,
+    /// No held piece is longer, so a piece overlapping `span` starts after
+    /// `span.start - longest`.
+    longest: u64,
+}
+
+impl Readers {
+    fn insert(&mut self, span: Interval, reader: TaskId) {
+        self.longest = self.longest.max(span.len());
+        self.pieces.insert((span.start, span.end, reader));
+    }
+
+    /// Remove the pieces overlapping `span`, calling `on_reader` for each,
+    /// and keep their parts outside `span`.
+    fn take_overlapping(
+        &mut self,
+        span: Interval,
+        hits: &mut Vec<(u64, u64, TaskId)>,
+        mut on_reader: impl FnMut(TaskId),
+    ) {
+        let from = (span.start.saturating_sub(self.longest), 0, TaskId(0));
+        hits.clear();
+        hits.extend(
+            self.pieces
+                .range(from..(span.end, 0, TaskId(0)))
+                .filter(|&&(s, e, _)| Interval::new(s, e).overlaps(&span)),
+        );
+        for &piece @ (s, e, r) in hits.iter() {
+            on_reader(r);
+            self.pieces.remove(&piece);
+            if s < span.start {
+                self.pieces.insert((s, span.start.min(e), r));
+            }
+            if e > span.end {
+                self.pieces.insert((span.end.max(s), e, r));
+            }
+        }
+        if self.pieces.is_empty() {
+            self.longest = 0;
+        }
     }
 }
 

@@ -115,18 +115,18 @@ impl IntervalSet {
         }
         let mut start = iv.start;
         let mut end = iv.end;
-        // Absorb any run that overlaps or touches [start, end).
-        // Candidates: runs whose start <= end, scanning backwards from `end`.
-        let mut to_remove = Vec::new();
-        for (&s, &e) in self.runs.range(..=end) {
-            if e >= start {
-                to_remove.push(s);
-                start = start.min(s);
+        // Absorb every run that overlaps or touches [start, end): at most one
+        // starts before `iv.start` (the runs are disjoint and non-adjacent),
+        // the rest start within [iv.start, end].
+        if let Some((&s, &e)) = self.runs.range(..iv.start).next_back() {
+            if e >= iv.start {
+                start = s;
                 end = end.max(e);
             }
         }
-        for s in to_remove {
+        while let Some((&s, &e)) = self.runs.range(iv.start..=end).next() {
             self.runs.remove(&s);
+            end = end.max(e);
         }
         self.runs.insert(start, end);
     }
@@ -136,17 +136,20 @@ impl IntervalSet {
         if iv.is_empty() {
             return;
         }
-        let affected: Vec<(u64, u64)> = self
-            .runs
-            .range(..iv.end)
-            .filter(|&(_, &e)| e > iv.start)
-            .map(|(&s, &e)| (s, e))
-            .collect();
-        for (s, e) in affected {
-            self.runs.remove(&s);
-            if s < iv.start {
+        // A run straddling `iv.start` keeps its head (and, if it also
+        // straddles `iv.end`, its tail).
+        if let Some((&s, &e)) = self.runs.range(..iv.start).next_back() {
+            if e > iv.start {
                 self.runs.insert(s, iv.start);
+                if e > iv.end {
+                    self.runs.insert(iv.end, e);
+                    return;
+                }
             }
+        }
+        // Runs starting inside `iv` go; the last may keep a tail.
+        while let Some((&s, &e)) = self.runs.range(iv.start..iv.end).next() {
+            self.runs.remove(&s);
             if e > iv.end {
                 self.runs.insert(iv.end, e);
             }
@@ -165,22 +168,24 @@ impl IntervalSet {
         }
     }
 
+    /// The covered parts of `iv`, ascending: only the run covering
+    /// `iv.start` and the runs starting inside `iv` are visited.
+    fn clipped(&self, iv: Interval) -> impl Iterator<Item = Interval> + '_ {
+        let from = first_key(&self.runs, iv.start);
+        self.runs
+            .range(from..iv.end)
+            .filter_map(move |(&start, &end)| Interval { start, end }.intersect(&iv))
+    }
+
     /// The part of `iv` NOT covered by this set, as disjoint intervals.
     pub fn gaps_within(&self, iv: Interval) -> Vec<Interval> {
         let mut gaps = Vec::new();
-        if iv.is_empty() {
-            return gaps;
-        }
         let mut cursor = iv.start;
-        for (&s, &e) in self.runs.range(..iv.end) {
-            if e <= iv.start {
-                continue;
+        for part in self.clipped(iv) {
+            if part.start > cursor {
+                gaps.push(Interval::new(cursor, part.start));
             }
-            let s = s.max(iv.start);
-            if s > cursor {
-                gaps.push(Interval::new(cursor, s));
-            }
-            cursor = cursor.max(e.min(iv.end));
+            cursor = part.end;
         }
         if cursor < iv.end {
             gaps.push(Interval::new(cursor, iv.end));
@@ -190,17 +195,20 @@ impl IntervalSet {
 
     /// The covered sub-intervals of `iv`.
     pub fn intersection_with(&self, iv: Interval) -> Vec<Interval> {
-        let mut out = Vec::new();
-        for (&s, &e) in self.runs.range(..iv.end) {
-            if e <= iv.start {
-                continue;
-            }
-            if let Some(part) = Interval::new(s, e).intersect(&iv) {
-                out.push(part);
-            }
-        }
-        out
+        self.clipped(iv).collect()
     }
+
+    /// Number of items of `iv` that are covered.
+    pub fn covered_len(&self, iv: Interval) -> u64 {
+        self.clipped(iv).map(|part| part.len()).sum()
+    }
+}
+
+/// The key to start a scan for runs overlapping an interval starting at
+/// `start`: the last run starting at or before `start` (the only earlier run
+/// that can reach it, since runs are disjoint), else `start` itself.
+fn first_key<V>(runs: &BTreeMap<u64, V>, start: u64) -> u64 {
+    runs.range(..=start).next_back().map_or(start, |(&s, _)| s)
 }
 
 /// Disjoint intervals each tagged with a value; inserting overwrites any
@@ -234,27 +242,31 @@ impl<T: Clone> IntervalMap<T> {
             .map(|(&s, (e, t))| (Interval { start: s, end: *e }, t))
     }
 
-    /// All `(interval, tag)` entries overlapping `iv`, clipped to `iv`.
-    pub fn overlapping(&self, iv: Interval) -> Vec<(Interval, T)> {
-        let mut out = Vec::new();
-        if iv.is_empty() {
-            return out;
-        }
-        for (&s, (e, t)) in self.runs.range(..iv.end) {
-            if *e <= iv.start {
-                continue;
-            }
-            if let Some(part) = Interval::new(s, *e).intersect(&iv) {
-                out.push((part, t.clone()));
-            }
-        }
-        out
+    /// All `(interval, tag)` entries overlapping `iv`, clipped to `iv`,
+    /// ascending. Visits only the run covering `iv.start` and the runs
+    /// starting inside `iv`.
+    pub fn overlapping(&self, iv: Interval) -> impl Iterator<Item = (Interval, &T)> + '_ {
+        let from = first_key(&self.runs, iv.start);
+        self.runs
+            .range(from..iv.end)
+            .filter_map(move |(&start, (end, t))| {
+                Interval { start, end: *end }
+                    .intersect(&iv)
+                    .map(|part| (part, t))
+            })
     }
 
     /// Overwrite `iv` with `tag`, splitting partially-overlapped runs.
     pub fn insert(&mut self, iv: Interval, tag: T) {
         if iv.is_empty() {
             return;
+        }
+        // A run with exactly this span just changes its tag.
+        if let Some((end, t)) = self.runs.get_mut(&iv.start) {
+            if *end == iv.end {
+                *t = tag;
+                return;
+            }
         }
         self.remove(iv);
         self.runs.insert(iv.start, (iv.end, tag));
@@ -265,17 +277,21 @@ impl<T: Clone> IntervalMap<T> {
         if iv.is_empty() {
             return;
         }
-        let affected: Vec<(u64, u64, T)> = self
-            .runs
-            .range(..iv.end)
-            .filter(|&(_, &(e, _))| e > iv.start)
-            .map(|(&s, (e, t))| (s, *e, t.clone()))
-            .collect();
-        for (s, e, t) in affected {
-            self.runs.remove(&s);
-            if s < iv.start {
-                self.runs.insert(s, (iv.start, t.clone()));
+        // A run straddling `iv.start` keeps its head (and, if it also
+        // straddles `iv.end`, its tail).
+        if let Some((_, (end, t))) = self.runs.range_mut(..iv.start).next_back() {
+            if *end > iv.start {
+                let e = std::mem::replace(end, iv.start);
+                if e > iv.end {
+                    let tail = (e, t.clone());
+                    self.runs.insert(iv.end, tail);
+                    return;
+                }
             }
+        }
+        // Runs starting inside `iv` go; the last may keep a tail.
+        while let Some((&s, _)) = self.runs.range(iv.start..iv.end).next() {
+            let (e, t) = self.runs.remove(&s).expect("key was just found");
             if e > iv.end {
                 self.runs.insert(iv.end, (e, t));
             }
@@ -390,11 +406,9 @@ mod tests {
         let mut m = IntervalMap::new();
         m.insert(iv(0, 10), 1);
         m.insert(iv(20, 30), 2);
-        assert_eq!(
-            m.overlapping(iv(5, 25)),
-            vec![(iv(5, 10), 1), (iv(20, 25), 2)]
-        );
-        assert_eq!(m.overlapping(iv(10, 20)), vec![]);
+        let clipped = |q| m.overlapping(q).map(|(i, t)| (i, *t)).collect::<Vec<_>>();
+        assert_eq!(clipped(iv(5, 25)), vec![(iv(5, 10), 1), (iv(20, 25), 2)]);
+        assert_eq!(clipped(iv(10, 20)), vec![]);
     }
 
     #[test]

@@ -278,6 +278,8 @@ impl Program {
 #[derive(Default)]
 pub struct ProgramBuilder {
     program: Program,
+    /// Tasks submitted so far: the next [`TaskId`].
+    tasks: usize,
 }
 
 impl ProgramBuilder {
@@ -302,7 +304,8 @@ impl ProgramBuilder {
 
     /// Submit a task instance; returns its id.
     pub fn submit(&mut self, task: TaskDesc) -> TaskId {
-        let id = TaskId(self.program.task_count());
+        let id = TaskId(self.tasks);
+        self.tasks += 1;
         self.program.ops.push(Op::Submit(task));
         id
     }

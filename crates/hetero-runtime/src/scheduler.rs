@@ -257,8 +257,9 @@ pub struct PerfScheduler {
     /// task's own charge back out, so estimation drift self-corrects
     /// instead of accumulating phantom backlog across taskwait epochs.
     outstanding: Vec<SimTime>,
-    /// Per-task occupancy charge recorded at bind (reversed at completion).
-    est_of: BTreeMap<TaskId, (DeviceId, SimTime)>,
+    /// Per-task occupancy charge recorded at bind, indexed by `TaskId`;
+    /// reversed and zeroed at completion.
+    est_of: Vec<SimTime>,
     /// Device slot counts (cached from the platform).
     slots: Vec<u64>,
     /// Instances each (kernel, device) pair must observe before estimates
@@ -282,7 +283,7 @@ impl PerfScheduler {
             rates: BTreeMap::new(),
             assigned: BTreeMap::new(),
             outstanding: vec![SimTime::ZERO; platform.devices.len()],
-            est_of: BTreeMap::new(),
+            est_of: Vec::new(),
             slots: platform
                 .devices
                 .iter()
@@ -327,7 +328,10 @@ impl PerfScheduler {
 
     fn charge(&mut self, task: TaskId, dev: DeviceId, est: SimTime) {
         self.outstanding[dev.0] += est;
-        self.est_of.insert(task, (dev, est));
+        if self.est_of.len() <= task.0 {
+            self.est_of.resize(task.0 + 1, SimTime::ZERO);
+        }
+        self.est_of[task.0] = est;
     }
 }
 
@@ -421,8 +425,7 @@ impl Scheduler for PerfScheduler {
         obs.items += items as f64;
         obs.secs += exec.as_secs_f64();
         // Reverse this task's occupancy charge.
-        if let Some((charged_dev, est)) = self.est_of.remove(&task) {
-            debug_assert_eq!(charged_dev, dev);
+        if let Some(est) = self.est_of.get_mut(task.0).map(std::mem::take) {
             self.outstanding[dev.0] = self.outstanding[dev.0].saturating_sub(est);
         }
     }

@@ -1,0 +1,271 @@
+//! Differential check of the dependence analysis against a reference.
+//!
+//! [`reference_build`] is the analysis in its plainest form: every access
+//! scans every last-writer run and every reader piece of its buffer. The
+//! indexed [`TaskGraph::build`] must produce exactly the same predecessors,
+//! successors and epochs on any program, including the corner cases the
+//! planner never emits: empty spans, halos on writes, whole-buffer accesses
+//! and tasks touching one buffer several times.
+
+use hetero_platform::KernelProfile;
+use hetero_runtime::{
+    Access, AccessMode, BufferId, Interval, Op, Program, ProgramBuilder, Region, TaskGraph, TaskId,
+};
+use proptest::prelude::*;
+
+/// `(preds, succs, epoch_of)` of a program, computed by full scans.
+fn reference_build(program: &Program) -> (Vec<Vec<TaskId>>, Vec<Vec<TaskId>>, Vec<usize>) {
+    let n = program.task_count();
+    let mut preds: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+    // Per buffer: disjoint last-writer runs, and reader pieces since them.
+    let mut writers: Vec<Vec<(Interval, TaskId)>> = vec![Vec::new(); program.buffers.len()];
+    let mut readers: Vec<Vec<(Interval, TaskId)>> = vec![Vec::new(); program.buffers.len()];
+    let mut epoch_of = Vec::with_capacity(n);
+    let mut epoch = 0;
+    let mut tid = 0;
+    for op in &program.ops {
+        let task = match op {
+            Op::Taskwait => {
+                epoch += 1;
+                continue;
+            }
+            Op::Submit(task) => task,
+        };
+        let id = TaskId(tid);
+        epoch_of.push(epoch);
+        for acc in &task.accesses {
+            let b = acc.region.buffer.0;
+            let span = acc.region.span;
+            // RAW and WAW: every last-writer sharing an item with the span.
+            for &(iv, w) in &writers[b] {
+                if iv.intersect(&span).is_some() && w != id {
+                    preds[tid].push(w);
+                }
+            }
+            if acc.mode.writes() {
+                // WAR: every reader piece overlapping the span; keep the
+                // parts outside it.
+                let mut kept = Vec::new();
+                for (iv, r) in readers[b].drain(..) {
+                    if !iv.overlaps(&span) {
+                        kept.push((iv, r));
+                        continue;
+                    }
+                    if r != id {
+                        preds[tid].push(r);
+                    }
+                    if iv.start < span.start {
+                        kept.push((Interval::new(iv.start, span.start.min(iv.end)), r));
+                    }
+                    if iv.end > span.end {
+                        kept.push((Interval::new(span.end.max(iv.start), iv.end), r));
+                    }
+                }
+                readers[b] = kept;
+                if !span.is_empty() {
+                    let mut runs = Vec::new();
+                    for (iv, w) in writers[b].drain(..) {
+                        if iv.intersect(&span).is_none() {
+                            runs.push((iv, w));
+                            continue;
+                        }
+                        if iv.start < span.start {
+                            runs.push((Interval::new(iv.start, span.start), w));
+                        }
+                        if iv.end > span.end {
+                            runs.push((Interval::new(span.end, iv.end), w));
+                        }
+                    }
+                    runs.push((span, id));
+                    writers[b] = runs;
+                }
+            } else {
+                readers[b].push((span, id));
+            }
+        }
+        preds[tid].sort_unstable();
+        preds[tid].dedup();
+        tid += 1;
+    }
+    let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+    for (t, ps) in preds.iter().enumerate() {
+        for p in ps {
+            succs[p.0].push(TaskId(t));
+        }
+    }
+    for s in &mut succs {
+        s.sort_unstable();
+        s.dedup();
+    }
+    (preds, succs, epoch_of)
+}
+
+/// One generated access, interpreted against the task's buffers by
+/// [`build_program`].
+#[derive(Clone, Debug)]
+struct RawAccess {
+    buf: usize,
+    mode: AccessMode,
+    shape: u8,
+    a: u64,
+    b: u64,
+    halo: u64,
+}
+
+fn arb_access() -> impl Strategy<Value = RawAccess> {
+    let mode = prop_oneof![
+        Just(AccessMode::In),
+        Just(AccessMode::Out),
+        Just(AccessMode::InOut)
+    ];
+    (0..4usize, mode, 0..6u8, 0..40u64, 0..40u64, 0..3u64).prop_map(
+        |(buf, mode, shape, a, b, halo)| RawAccess {
+            buf,
+            mode,
+            shape,
+            a,
+            b,
+            halo,
+        },
+    )
+}
+
+/// `None` is a taskwait; `Some` a task with its accesses.
+fn arb_op() -> impl Strategy<Value = Option<Vec<RawAccess>>> {
+    (0..6u8, proptest::collection::vec(arb_access(), 1..5))
+        .prop_map(|(k, accs)| (k != 0).then_some(accs))
+}
+
+/// Lower generated ops onto `sizes.len()` buffers, returning the program
+/// and the ids `ProgramBuilder` handed out.
+fn build_program(sizes: &[u64], ops: &[Option<Vec<RawAccess>>]) -> (Program, Vec<TaskId>) {
+    let mut b = Program::builder();
+    let bufs: Vec<BufferId> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| b.buffer(&format!("b{i}"), n, 4))
+        .collect();
+    let k = b.kernel("k", KernelProfile::compute_only(1.0));
+    let mut ids = Vec::new();
+    for op in ops {
+        let Some(raw) = op else {
+            b.taskwait();
+            continue;
+        };
+        let mut accesses: Vec<Access> = Vec::new();
+        for r in raw {
+            let prev = accesses.last().map(|a| a.region);
+            let (buf, start, end) = match (r.shape, prev) {
+                // Same buffer as the previous access, same start or starting
+                // where it ends.
+                (4, Some(p)) => (p.buffer.0, p.span.start, p.span.start + r.b),
+                (5, Some(p)) => (p.buffer.0, p.span.end, p.span.end + r.b),
+                // The whole buffer.
+                (2, _) => (r.buf % sizes.len(), 0, u64::MAX),
+                // An empty span anywhere, ends included.
+                (3, _) => {
+                    let at = r.a % (sizes[r.buf % sizes.len()] + 1);
+                    (r.buf % sizes.len(), at, at)
+                }
+                // A partition, possibly empty, widened by a halo.
+                _ => {
+                    let s = r.a;
+                    let e = s + r.b % 12;
+                    let h = if r.shape == 1 { r.halo } else { 0 };
+                    (r.buf % sizes.len(), s.saturating_sub(h), e + h)
+                }
+            };
+            let n = sizes[buf];
+            let start = start.min(n);
+            let end = end.clamp(start, n);
+            accesses.push(Access {
+                region: Region::new(bufs[buf], start, end),
+                mode: r.mode,
+            });
+        }
+        ids.push(b.submit_dynamic(k, 1, accesses));
+    }
+    (b.build(), ids)
+}
+
+fn assert_matches_reference(program: &Program) -> Result<(), TestCaseError> {
+    let g = TaskGraph::build(program);
+    let (preds, succs, epoch_of) = reference_build(program);
+    prop_assert_eq!(&g.preds, &preds);
+    prop_assert_eq!(&g.succs, &succs);
+    prop_assert_eq!(&g.epoch_of, &epoch_of);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn graph_matches_full_scan_reference(
+        sizes in proptest::collection::vec(1..33u64, 1..5),
+        ops in proptest::collection::vec(arb_op(), 0..72),
+    ) {
+        let (program, ids) = build_program(&sizes, &ops);
+        // Builder ids are submission order, unbroken by taskwaits.
+        let listed: Vec<TaskId> = program.tasks().iter().map(|(id, _)| *id).collect();
+        prop_assert_eq!(&ids, &listed);
+        prop_assert_eq!(ids, (0..program.task_count()).map(TaskId).collect::<Vec<_>>());
+        assert_matches_reference(&program)?;
+    }
+}
+
+/// A task reading one buffer twice from the same start, or over adjacent
+/// spans, leaves one reader piece per read: a later write overlapping only
+/// one of them must still order after the reader.
+#[test]
+fn repeated_reads_by_one_task_keep_every_piece() {
+    let program = |spans: [(u64, u64); 2], write: (u64, u64)| {
+        let mut b = Program::builder();
+        let x = b.buffer("x", 16, 4);
+        let k = b.kernel("k", KernelProfile::compute_only(1.0));
+        let reads = spans
+            .iter()
+            .map(|&(s, e)| Access::read(Region::new(x, s, e)))
+            .collect();
+        b.submit_dynamic(k, 1, reads);
+        b.submit_dynamic(k, 1, vec![Access::write(Region::new(x, write.0, write.1))]);
+        b.build()
+    };
+    for (spans, write) in [
+        ([(0, 8), (0, 4)], (6, 8)),
+        ([(0, 4), (0, 8)], (6, 8)),
+        ([(0, 4), (4, 8)], (5, 6)),
+        ([(4, 8), (0, 4)], (1, 2)),
+    ] {
+        let p = program(spans, write);
+        let g = TaskGraph::build(&p);
+        assert_eq!(
+            g.preds[1],
+            vec![TaskId(0)],
+            "reads {spans:?}, write {write:?}"
+        );
+        assert_matches_reference(&p).unwrap();
+    }
+}
+
+/// Builder ids stay in submission order across taskwaits, including
+/// leading and repeated ones.
+#[test]
+fn builder_ids_follow_submission_order_across_taskwaits() {
+    let mut b: ProgramBuilder = Program::builder();
+    let x = b.buffer("x", 4, 4);
+    let k = b.kernel("k", KernelProfile::compute_only(1.0));
+    let mut ids = Vec::new();
+    b.taskwait();
+    for i in 0..5 {
+        ids.push(b.submit_dynamic(k, 1, vec![Access::read(Region::new(x, 0, 4))]));
+        for _ in 0..i % 3 {
+            b.taskwait();
+        }
+    }
+    let p = b.build();
+    assert_eq!(ids, (0..5).map(TaskId).collect::<Vec<_>>());
+    let listed: Vec<TaskId> = p.tasks().iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, listed);
+    assert_eq!(TaskGraph::build(&p).epoch_of, vec![1, 1, 2, 4, 4]);
+}
