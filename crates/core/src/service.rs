@@ -750,6 +750,28 @@ struct Bucket {
     last: SimTime,
 }
 
+impl Bucket {
+    const SCALE: u64 = 1_000_000_000;
+
+    /// Refill for the time since the last request, then spend one token if
+    /// a whole one is available.
+    fn take(&mut self, now: SimTime, limit: RateLimit) -> bool {
+        let elapsed_ns = now.saturating_sub(self.last).as_nanos();
+        let earned = (elapsed_ns as u128 * u128::from(limit.per_sec)) as u64;
+        self.tokens = self
+            .tokens
+            .saturating_add(earned)
+            .min(u64::from(limit.burst) * Self::SCALE);
+        self.last = now;
+        if self.tokens >= Self::SCALE {
+            self.tokens -= Self::SCALE;
+            true
+        } else {
+            false
+        }
+    }
+}
+
 /// The deterministic service engine: a discrete-event simulation of the
 /// admission queue, worker pool and cache over virtual time. Drive it with
 /// [`PlanService::run`]; read the `hm_service_*` series back with
@@ -1182,27 +1204,17 @@ impl<'a> PlanService<'a> {
     }
 
     fn take_token(&mut self, client: &str, now: SimTime, limit: RateLimit) -> bool {
-        const SCALE: u64 = 1_000_000_000;
-        let bucket = self
-            .buckets
-            .entry(client.to_string())
-            .or_insert_with(|| Bucket {
-                tokens: u64::from(limit.burst) * SCALE,
-                last: SimTime::ZERO,
-            });
-        let elapsed_ns = now.saturating_sub(bucket.last).as_nanos();
-        let earned = (elapsed_ns as u128 * u128::from(limit.per_sec)) as u64;
-        bucket.tokens = bucket
-            .tokens
-            .saturating_add(earned)
-            .min(u64::from(limit.burst) * SCALE);
-        bucket.last = now;
-        if bucket.tokens >= SCALE {
-            bucket.tokens -= SCALE;
-            true
-        } else {
-            false
+        if let Some(bucket) = self.buckets.get_mut(client) {
+            return bucket.take(now, limit);
         }
+        // Only a client's first request allocates its key.
+        let mut bucket = Bucket {
+            tokens: u64::from(limit.burst) * Bucket::SCALE,
+            last: SimTime::ZERO,
+        };
+        let taken = bucket.take(now, limit);
+        self.buckets.insert(client.to_string(), bucket);
+        taken
     }
 }
 

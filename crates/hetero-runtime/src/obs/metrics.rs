@@ -183,30 +183,136 @@ pub struct MetricsRegistry {
     pub series: BTreeMap<String, Series>,
 }
 
-fn series_id(name: &str, labels: &[(String, String)]) -> String {
+/// Render a series identity `name{k="v",...}` (labels already sorted).
+fn write_id(
+    out: &mut impl std::fmt::Write,
+    name: &str,
+    labels: &[(impl AsRef<str>, impl AsRef<str>)],
+) {
+    let _ = out.write_str(name);
     if labels.is_empty() {
-        return name.to_string();
+        return;
     }
-    let mut id = String::from(name);
-    id.push('{');
+    let _ = out.write_char('{');
     for (i, (k, v)) in labels.iter().enumerate() {
         if i > 0 {
-            id.push(',');
+            let _ = out.write_char(',');
         }
-        let _ = write!(id, "{k}=\"{v}\"");
+        for part in [k.as_ref(), "=\"", v.as_ref(), "\""] {
+            let _ = out.write_str(part);
+        }
     }
-    id.push('}');
+    let _ = out.write_char('}');
+}
+
+fn series_id(name: &str, labels: &[(String, String)]) -> String {
+    let mut id = String::new();
+    write_id(&mut id, name, labels);
     id
 }
 
-fn sorted_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-    let mut ls: Vec<(String, String)> = labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    ls.sort();
-    ls
+/// Most label sets fit here; longer ones are sorted in a heap copy.
+const INLINE_LABELS: usize = 8;
+
+/// Ids up to this many bytes are rendered on the stack.
+const INLINE_ID_BYTES: usize = 256;
+
+/// Scratch space for rendering a series id without touching the heap: a
+/// stack buffer that spills into a `String` only for ids longer than it.
+struct IdBuf {
+    inline: [u8; INLINE_ID_BYTES],
+    len: usize,
+    spill: Option<String>,
 }
+
+impl IdBuf {
+    fn new() -> Self {
+        Self {
+            inline: [0; INLINE_ID_BYTES],
+            len: 0,
+            spill: None,
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match &self.spill {
+            Some(s) => s,
+            // Only whole `&str`s are ever copied in, so this is valid UTF-8.
+            None => std::str::from_utf8(&self.inline[..self.len]).expect("utf-8 id"),
+        }
+    }
+}
+
+impl std::fmt::Write for IdBuf {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        match &mut self.spill {
+            Some(spill) => spill.push_str(s),
+            None if end <= INLINE_ID_BYTES => {
+                self.inline[self.len..end].copy_from_slice(s.as_bytes());
+                self.len = end;
+            }
+            None => {
+                let mut spill = String::with_capacity(end);
+                spill.push_str(self.as_str());
+                spill.push_str(s);
+                self.spill = Some(spill);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Sort `labels` and render the id `name{labels}` into stack scratch space,
+/// then hand the id and the sorted labels to `f`. Allocates only for more
+/// than [`INLINE_LABELS`] labels or an id longer than [`INLINE_ID_BYTES`].
+fn with_id<R>(
+    name: &str,
+    labels: &[(&str, &str)],
+    f: impl FnOnce(&str, &[(&str, &str)]) -> R,
+) -> R {
+    let mut inline = [("", ""); INLINE_LABELS];
+    let mut heap = Vec::new();
+    let sorted = if labels.len() <= INLINE_LABELS {
+        inline[..labels.len()].copy_from_slice(labels);
+        &mut inline[..labels.len()]
+    } else {
+        heap.extend_from_slice(labels);
+        &mut heap[..]
+    };
+    sorted.sort_unstable();
+    let mut id = IdBuf::new();
+    write_id(&mut id, name, sorted);
+    f(id.as_str(), sorted)
+}
+
+/// The three series a task or transfer hook feeds, as `(name, help)`: an
+/// event counter, an amount counter and a latency histogram.
+type HookSeries = [(&'static str, &'static str); 3];
+
+const TASK_SERIES: HookSeries = [
+    (
+        "hm_tasks_total",
+        "Task instances committed to a device slot.",
+    ),
+    (
+        "hm_task_items_total",
+        "Work items across committed task instances.",
+    ),
+    (
+        "hm_task_slot_seconds",
+        "Slot occupancy per task instance (transfers + attempts + execution).",
+    ),
+];
+
+const TRANSFER_SERIES: HookSeries = [
+    ("hm_transfers_total", "Coherence and write-back transfers."),
+    (
+        "hm_transfer_bytes_total",
+        "Bytes moved by coherence and write-back transfers.",
+    ),
+    ("hm_transfer_seconds", "Latency per transfer."),
+];
 
 impl MetricsRegistry {
     /// An empty registry.
@@ -214,57 +320,148 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn entry(
+    /// Store a new series under its rendered `id` (labels already sorted).
+    fn insert(
+        &mut self,
+        id: &str,
+        name: &str,
+        help: &str,
+        sorted: &[(&str, &str)],
+        value: SeriesValue,
+    ) {
+        let labels = sorted
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        self.series.insert(
+            id.to_string(),
+            Series {
+                name: name.to_string(),
+                help: help.to_string(),
+                labels,
+                value,
+            },
+        );
+    }
+
+    /// Apply `update` to the series `name{labels}`, creating it from `init`
+    /// first if absent. An existing series costs a sort of the borrowed
+    /// labels, an id rendered into stack scratch space and one map lookup;
+    /// only a series' first appearance allocates its key, name, help and
+    /// labels (so the first help text wins).
+    fn update(
         &mut self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
         init: impl FnOnce() -> SeriesValue,
-    ) -> &mut Series {
-        let ls = sorted_labels(labels);
-        let id = series_id(name, &ls);
-        self.series.entry(id).or_insert_with(|| Series {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels: ls,
-            value: init(),
-        })
+        update: impl FnOnce(&mut SeriesValue),
+    ) {
+        with_id(name, labels, |id, sorted| match self.series.get_mut(id) {
+            Some(s) => update(&mut s.value),
+            None => {
+                let mut value = init();
+                update(&mut value);
+                self.insert(id, name, help, sorted, value);
+            }
+        });
+    }
+
+    /// Create a hook's three series under `labels` (those absent start
+    /// empty) and return their ids for [`Self::record_hook`].
+    fn register_hook(&mut self, series: &HookSeries, labels: &[(&str, &str)]) -> [String; 3] {
+        let init = [
+            || SeriesValue::Counter(0),
+            || SeriesValue::Counter(0),
+            || SeriesValue::Histogram(LogHistogram::default()),
+        ];
+        let mut ids = <[String; 3]>::default();
+        for ((id, (name, help)), init) in ids.iter_mut().zip(series).zip(init) {
+            *id = with_id(name, labels, |id, sorted| {
+                if !self.series.contains_key(id) {
+                    self.insert(id, name, help, sorted, init());
+                }
+                id.to_string()
+            });
+        }
+        ids
+    }
+
+    /// Count one hook event of size `amount` lasting `latency` on the
+    /// series [`Self::register_hook`] returned: three map hits.
+    fn record_hook(&mut self, ids: &[String; 3], amount: u64, latency: SimTime) {
+        let [events, total, hist] = ids;
+        if let Some(SeriesValue::Counter(c)) = self.series.get_mut(events).map(|s| &mut s.value) {
+            *c += 1;
+        }
+        if let Some(SeriesValue::Counter(c)) = self.series.get_mut(total).map(|s| &mut s.value) {
+            *c += amount;
+        }
+        if let Some(SeriesValue::Histogram(h)) = self.series.get_mut(hist).map(|s| &mut s.value) {
+            h.observe(latency);
+        }
     }
 
     /// Add `delta` to a counter series, creating it at zero if absent.
     pub fn counter_add(&mut self, name: &str, help: &str, labels: &[(&str, &str)], delta: u64) {
-        let s = self.entry(name, help, labels, || SeriesValue::Counter(0));
-        if let SeriesValue::Counter(c) = &mut s.value {
-            *c += delta;
-        }
+        self.update(
+            name,
+            help,
+            labels,
+            || SeriesValue::Counter(0),
+            |v| {
+                if let SeriesValue::Counter(c) = v {
+                    *c += delta;
+                }
+            },
+        );
     }
 
     /// Set a gauge series to `value`.
     pub fn gauge_set(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        let s = self.entry(name, help, labels, || SeriesValue::Gauge(0.0));
-        if let SeriesValue::Gauge(g) = &mut s.value {
-            *g = value;
-        }
+        self.update(
+            name,
+            help,
+            labels,
+            || SeriesValue::Gauge(0.0),
+            |v| {
+                if let SeriesValue::Gauge(g) = v {
+                    *g = value;
+                }
+            },
+        );
     }
 
     /// Raise a gauge series to `value` if larger (high-water mark).
     pub fn gauge_max(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        let s = self.entry(name, help, labels, || SeriesValue::Gauge(f64::NEG_INFINITY));
-        if let SeriesValue::Gauge(g) = &mut s.value {
-            if value > *g {
-                *g = value;
-            }
-        }
+        self.update(
+            name,
+            help,
+            labels,
+            || SeriesValue::Gauge(f64::NEG_INFINITY),
+            |v| {
+                if let SeriesValue::Gauge(g) = v {
+                    if value > *g {
+                        *g = value;
+                    }
+                }
+            },
+        );
     }
 
     /// Record an observation into a histogram series.
     pub fn observe(&mut self, name: &str, help: &str, labels: &[(&str, &str)], t: SimTime) {
-        let s = self.entry(name, help, labels, || {
-            SeriesValue::Histogram(LogHistogram::default())
-        });
-        if let SeriesValue::Histogram(h) = &mut s.value {
-            h.observe(t);
-        }
+        self.update(
+            name,
+            help,
+            labels,
+            || SeriesValue::Histogram(LogHistogram::default()),
+            |v| {
+                if let SeriesValue::Histogram(h) = v {
+                    h.observe(t);
+                }
+            },
+        );
     }
 
     /// Merge another registry: counters add, histograms merge bucketwise,
@@ -372,6 +569,11 @@ pub struct MetricsObserver {
     registry: MetricsRegistry,
     strategy: String,
     dev_names: Vec<String>,
+    /// Task series ids per kernel and device, registered on the pair's
+    /// first task so that later tasks cost three map hits.
+    task_ids: Vec<Vec<Option<[String; 3]>>>,
+    /// Transfer series ids, registered on the first transfer.
+    transfer_ids: Option<[String; 3]>,
     dev_slots: Vec<u64>,
     epoch_busy: Vec<SimTime>,
     last_flush_end: SimTime,
@@ -391,6 +593,8 @@ impl MetricsObserver {
                 .iter()
                 .map(|d| d.spec.name.clone())
                 .collect(),
+            task_ids: Vec::new(),
+            transfer_ids: None,
             dev_slots: platform
                 .devices
                 .iter()
@@ -439,13 +643,6 @@ impl MetricsObserver {
             _ => "other",
         }
     }
-
-    fn dev_name(&self, dev: DeviceId) -> &str {
-        self.dev_names
-            .get(dev.0)
-            .map(String::as_str)
-            .unwrap_or("unknown")
-    }
 }
 
 impl Observer for MetricsObserver {
@@ -458,32 +655,30 @@ impl Observer for MetricsObserver {
         start: SimTime,
         end: SimTime,
     ) {
-        let strategy = self.strategy.clone();
-        let device = self.dev_name(dev).to_string();
-        let kernel = format!("k{}", kernel.0);
-        let labels: &[(&str, &str)] = &[
-            ("device", device.as_str()),
-            ("kernel", kernel.as_str()),
-            ("strategy", strategy.as_str()),
-        ];
-        self.registry.counter_add(
-            "hm_tasks_total",
-            "Task instances committed to a device slot.",
-            labels,
-            1,
-        );
-        self.registry.counter_add(
-            "hm_task_items_total",
-            "Work items across committed task instances.",
-            labels,
-            items,
-        );
-        self.registry.observe(
-            "hm_task_slot_seconds",
-            "Slot occupancy per task instance (transfers + attempts + execution).",
-            labels,
-            end.saturating_sub(start),
-        );
+        if self.task_ids.len() <= kernel.0 {
+            self.task_ids.resize_with(kernel.0 + 1, Vec::new);
+        }
+        let per_dev = &mut self.task_ids[kernel.0];
+        if per_dev.len() <= dev.0 {
+            per_dev.resize_with(dev.0 + 1, || None);
+        }
+        let ids = per_dev[dev.0].get_or_insert_with(|| {
+            let device = self
+                .dev_names
+                .get(dev.0)
+                .map(String::as_str)
+                .unwrap_or("unknown");
+            self.registry.register_hook(
+                &TASK_SERIES,
+                &[
+                    ("device", device),
+                    ("kernel", &format!("k{}", kernel.0)),
+                    ("strategy", &self.strategy),
+                ],
+            )
+        });
+        self.registry
+            .record_hook(ids, items, end.saturating_sub(start));
         if let Some(b) = self.epoch_busy.get_mut(dev.0) {
             *b += end.saturating_sub(start);
         }
@@ -505,34 +700,18 @@ impl Observer for MetricsObserver {
         start: SimTime,
         end: SimTime,
     ) {
-        let strategy = self.strategy.clone();
-        let labels: &[(&str, &str)] = &[("strategy", strategy.as_str())];
-        self.registry.counter_add(
-            "hm_transfers_total",
-            "Coherence and write-back transfers.",
-            labels,
-            1,
-        );
-        self.registry.counter_add(
-            "hm_transfer_bytes_total",
-            "Bytes moved by coherence and write-back transfers.",
-            labels,
-            bytes,
-        );
-        self.registry.observe(
-            "hm_transfer_seconds",
-            "Latency per transfer.",
-            labels,
-            end.saturating_sub(start),
-        );
+        let ids = self.transfer_ids.get_or_insert_with(|| {
+            self.registry
+                .register_hook(&TRANSFER_SERIES, &[("strategy", &self.strategy)])
+        });
+        self.registry
+            .record_hook(ids, bytes, end.saturating_sub(start));
     }
 
     fn on_epoch_end(&mut self, epoch: usize, _start: SimTime, end: SimTime) {
-        let strategy = self.strategy.clone();
         let window = end.saturating_sub(self.last_flush_end);
         let epoch_s = format!("{epoch}");
         for d in 0..self.epoch_busy.len() {
-            let device = self.dev_names[d].clone();
             let cap = window * self.dev_slots[d];
             let util = if cap.is_zero() {
                 0.0
@@ -543,9 +722,9 @@ impl Observer for MetricsObserver {
                 "hm_epoch_utilization",
                 "Fraction of a device's slot capacity busy within an epoch window.",
                 &[
-                    ("device", device.as_str()),
-                    ("epoch", epoch_s.as_str()),
-                    ("strategy", strategy.as_str()),
+                    ("device", &self.dev_names[d]),
+                    ("epoch", &epoch_s),
+                    ("strategy", &self.strategy),
                 ],
                 util,
             );
@@ -555,48 +734,39 @@ impl Observer for MetricsObserver {
     }
 
     fn on_fault(&mut self, ev: &TraceEvent) {
-        let strategy = self.strategy.clone();
         self.registry.counter_add(
             "hm_faults_total",
             "Fault and mitigation events by kind.",
-            &[
-                ("kind", Self::fault_kind(ev)),
-                ("strategy", strategy.as_str()),
-            ],
+            &[("kind", Self::fault_kind(ev)), ("strategy", &self.strategy)],
             1,
         );
     }
 
     fn on_adapt_action(&mut self, ev: &TraceEvent) {
-        let strategy = self.strategy.clone();
         self.registry.counter_add(
             "hm_adapt_total",
             "Adaptation events by kind.",
-            &[
-                ("kind", Self::adapt_kind(ev)),
-                ("strategy", strategy.as_str()),
-            ],
+            &[("kind", Self::adapt_kind(ev)), ("strategy", &self.strategy)],
             1,
         );
     }
 
     fn on_run_end(&mut self, report: &RunReport) {
-        let strategy = self.strategy.clone();
+        let strategy = self.strategy.as_str();
         self.registry.gauge_set(
             "hm_makespan_seconds",
             "Run makespan.",
             &[
                 ("scheduler", report.scheduler.as_str()),
-                ("strategy", strategy.as_str()),
+                ("strategy", strategy),
             ],
             report.makespan.as_secs_f64(),
         );
         for (d, peak) in self.queue_peak.iter().enumerate() {
-            let device = self.dev_names[d].clone();
             self.registry.gauge_max(
                 "hm_queue_depth_peak",
                 "High-water mark of a device's bound-task queue.",
-                &[("device", device.as_str()), ("strategy", strategy.as_str())],
+                &[("device", &self.dev_names[d]), ("strategy", strategy)],
                 *peak as f64,
             );
         }
@@ -613,7 +783,7 @@ impl Observer for MetricsObserver {
                     &[
                         ("component", component),
                         ("device", device.as_str()),
-                        ("strategy", strategy.as_str()),
+                        ("strategy", strategy),
                     ],
                     v.as_secs_f64(),
                 );
@@ -633,11 +803,10 @@ impl Observer for MetricsObserver {
             if q.is_zero() {
                 continue;
             }
-            let device = self.dev_names[d].clone();
             self.registry.gauge_set(
                 "hm_quarantine_seconds",
                 "Total time a device spent quarantined by the circuit breaker.",
-                &[("device", device.as_str()), ("strategy", strategy.as_str())],
+                &[("device", &self.dev_names[d]), ("strategy", strategy)],
                 q.as_secs_f64(),
             );
         }
@@ -675,7 +844,7 @@ impl Observer for MetricsObserver {
             ),
         ] {
             self.registry
-                .counter_add(name, help, &[("strategy", strategy.as_str())], v);
+                .counter_add(name, help, &[("strategy", strategy)], v);
         }
     }
 }

@@ -16,7 +16,7 @@
 //! crash+resume run (which re-executes from `t = 0` under redo-replay)
 //! emits the identical stream.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use super::metrics::{MetricsObserver, MetricsRegistry, Series, SeriesValue};
 use super::Observer;
@@ -124,7 +124,10 @@ type LineSink = Box<dyn FnMut(&str)>;
 /// they are produced.
 pub struct SnapshotObserver {
     inner: MetricsObserver,
-    prev: MetricsRegistry,
+    /// Every series' value at the previous snapshot, keyed like the
+    /// registry. Values are updated in place; only a series that appeared
+    /// since the last snapshot adds a key.
+    prev: BTreeMap<String, SeriesValue>,
     lines: Vec<String>,
     seq: u64,
     quarantined: BTreeSet<usize>,
@@ -149,7 +152,7 @@ impl SnapshotObserver {
     pub fn new(platform: &Platform, strategy: &str) -> Self {
         Self {
             inner: MetricsObserver::new(platform, strategy),
-            prev: MetricsRegistry::new(),
+            prev: BTreeMap::new(),
             lines: Vec::new(),
             seq: 0,
             quarantined: BTreeSet::new(),
@@ -198,8 +201,8 @@ impl SnapshotObserver {
             .sum()
     }
 
-    fn delta(prev: &Series, cur: &Series) -> Series {
-        let value = match (&prev.value, &cur.value) {
+    fn delta(prev: &SeriesValue, cur: &Series) -> Series {
+        let value = match (prev, &cur.value) {
             (SeriesValue::Counter(a), SeriesValue::Counter(b)) => {
                 SeriesValue::Counter(b.saturating_sub(*a))
             }
@@ -225,15 +228,34 @@ impl SnapshotObserver {
         }
     }
 
+    /// Overwrite `dst` with `src`, reusing a histogram's bucket storage.
+    fn assign(dst: &mut SeriesValue, src: &SeriesValue) {
+        match (dst, src) {
+            (SeriesValue::Histogram(d), SeriesValue::Histogram(s)) => {
+                d.buckets.clone_from(&s.buckets);
+                d.overflow = s.overflow;
+                d.count = s.count;
+                d.sum_nanos = s.sum_nanos;
+            }
+            (d, s) => *d = s.clone(),
+        }
+    }
+
     fn emit(&mut self, epoch: Option<u64>, at: SimTime) {
         self.correlated_until.retain(|&u| u > at);
         let cur = self.inner.registry();
         let mut changed = Vec::new();
         for (id, s) in &cur.series {
-            match self.prev.series.get(id) {
-                Some(p) if p.value == s.value => {}
-                Some(p) => changed.push(Self::delta(p, s)),
-                None => changed.push(s.clone()),
+            match self.prev.get_mut(id) {
+                Some(p) if *p == s.value => {}
+                Some(p) => {
+                    changed.push(Self::delta(p, s));
+                    Self::assign(p, &s.value);
+                }
+                None => {
+                    changed.push(s.clone());
+                    self.prev.insert(id.clone(), s.value.clone());
+                }
             }
         }
         let snap = EpochSnapshot {
@@ -250,7 +272,6 @@ impl SnapshotObserver {
             changed,
         };
         self.seq += 1;
-        self.prev = cur.clone();
         let line = serde_json::to_string(&snap).expect("snapshot serializes");
         if let Some(sink) = &mut self.sink {
             sink(&line);

@@ -9,7 +9,7 @@ use hetero_match::apps::{paper_apps, synth};
 use hetero_match::matchmaker::{
     Analyzer, ExecutionConfig, ExecutionFlow, JournalSink, Planner, ProfileStore, RunSpec, Strategy,
 };
-use hetero_match::platform::{DeviceId, FaultSchedule, Platform, RetryPolicy, SimTime};
+use hetero_match::platform::{fnv1a_64, DeviceId, FaultSchedule, Platform, RetryPolicy, SimTime};
 use hetero_match::runtime::{
     fold_stream, simulate, simulate_observed, simulate_traced, AdaptConfig, CriticalPath,
     HealthConfig, MetricsObserver, MetricsRegistry, MultiObserver, NullObserver, PinnedScheduler,
@@ -345,6 +345,39 @@ fn stream_fold_equivalence_across_all_run_modes() {
         let (_, again) = analyzer.simulate_streamed(&desc, config, &spec).unwrap();
         assert_eq!(obs.stream(), again.stream(), "{what}: stream must replay");
     }
+}
+
+/// The observer's exported bytes are pinned: every paper variant under
+/// SP-Unified and DP-Perf on the ICPP'15 platform, streamed, with the
+/// snapshot stream, the registry JSON and the Prometheus text of each run
+/// concatenated and hashed. Any change to a metric name, label, value, line
+/// order or float rendering moves the hash; an optimization of the observer
+/// must leave it where it is.
+#[test]
+fn observed_exports_match_the_pinned_bytes() {
+    const PINNED: u64 = 0x5405_6ce7_e950_4c4a;
+    let platform = Platform::icpp15();
+    let analyzer = Analyzer::new(&platform);
+    let mut text = String::new();
+    for desc in bench::experiments::paper_variants() {
+        for strategy in [Strategy::SpUnified, Strategy::DpPerf] {
+            let (_, obs) = analyzer
+                .simulate_streamed(
+                    &desc,
+                    ExecutionConfig::Strategy(strategy),
+                    &RunSpec::plain(),
+                )
+                .unwrap_or_else(|e| panic!("{} under {strategy:?}: {e}", desc.name));
+            text.push_str(&obs.stream());
+            text.push_str(&obs.registry().to_json());
+            text.push_str(&obs.registry().to_prometheus());
+        }
+    }
+    let hash = fnv1a_64(text.as_bytes());
+    assert_eq!(
+        hash, PINNED,
+        "observer export bytes moved: got {hash:#018x}"
+    );
 }
 
 proptest! {
