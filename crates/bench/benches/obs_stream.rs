@@ -66,7 +66,9 @@ fn main() {
     let series = obs.registry().series.len() as u64;
 
     let mut tobs = TraceObserver::new();
-    analyzer.simulate_observed(&desc, config, &mut tobs);
+    analyzer
+        .run(&desc, config, &spec, &mut tobs, None)
+        .expect("reference traced run");
     let tree = SpanTree::from_trace(tobs.trace(), &platform);
     let spans = tree.span_count() as u64;
     let events = tobs.trace().events.len() as u64;

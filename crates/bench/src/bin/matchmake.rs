@@ -107,10 +107,10 @@
 //! maps only) — CI runs the same campaign twice and diffs the output — and
 //! exits non-zero if any oracle was violated.
 
-use hetero_platform::{FaultTrace, KillSchedule, Platform, RetryPolicy, SimTime};
+use hetero_platform::{FaultSchedule, FaultTrace, KillSchedule, Platform, SimTime};
 use hetero_runtime::{
-    AdaptConfig, HealthConfig, MetricsObserver, MetricsRegistry, MultiObserver, RunDiff,
-    SnapshotObserver, SpanTree, TraceObserver, DEFAULT_GANTT_WIDTH,
+    AdaptConfig, HealthConfig, MetricsObserver, MetricsRegistry, MultiObserver, NullObserver,
+    Observer, RunDiff, SnapshotObserver, SpanTree, TraceObserver, DEFAULT_GANTT_WIDTH,
 };
 use matchmaker::{
     encode_response, run_load, tune_task_size, Analyzer, AppDescriptor, Arrival, ChaosSchedule,
@@ -196,6 +196,20 @@ fn write_metrics(path: &str, registry: &MetricsRegistry) {
     }
 }
 
+/// Write a journaled run's `--metrics` registry and `--metrics-stream`
+/// snapshot lines, for each path given.
+fn write_snapshot(snap: &SnapshotObserver, metrics: Option<&str>, stream: Option<&str>) {
+    if let Some(mp) = metrics {
+        write_metrics(mp, snap.registry());
+    }
+    if let Some(sp) = stream {
+        if let Err(e) = fs::write(sp, snap.stream()) {
+            eprintln!("cannot write metrics stream {sp}: {e}");
+            exit(1);
+        }
+    }
+}
+
 /// One-line run summary, printed identically by `run` and `resume` so CI
 /// can diff a crash–resume pair against the uninterrupted run verbatim.
 fn report_line(config: ExecutionConfig, report: &hetero_runtime::RunReport) -> String {
@@ -209,15 +223,44 @@ fn report_line(config: ExecutionConfig, report: &hetero_runtime::RunReport) -> S
     )
 }
 
-fn load_fault_trace(path: &str) -> FaultTrace {
+/// Load the fault trace at `path` and return the schedule that will run:
+/// the recorded input schedule when `record` is set (correlated domains
+/// fire live), otherwise its replay form (synthesized events baked in,
+/// triggering disabled). A schedule that names devices `platform` lacks is
+/// rejected with its typed error instead of a mid-simulation panic.
+fn load_fault_trace(
+    path: &str,
+    platform: &Platform,
+    platform_name: &str,
+    record: bool,
+) -> FaultSchedule {
     let text = fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read fault trace {path}: {e}");
         exit(1);
     });
-    FaultTrace::from_json(&text).unwrap_or_else(|e| {
+    let trace = FaultTrace::from_json(&text).unwrap_or_else(|e| {
         eprintln!("{path}: invalid fault trace: {e}");
         exit(1);
-    })
+    });
+    let schedule = if record {
+        trace.schedule
+    } else {
+        trace.replay_schedule()
+    };
+    if let Err(e) = schedule.validate_for(platform) {
+        eprintln!("fault trace: schedule invalid for platform '{platform_name}': {e}");
+        exit(1);
+    }
+    schedule
+}
+
+/// The spec `run` and `flame` execute: the replayed `--fault-trace` as a
+/// faulty run, or a plain run without one.
+fn fault_spec(trace: Option<&str>, platform: &Platform, platform_name: &str) -> RunSpec {
+    match trace {
+        Some(p) => RunSpec::faulty(load_fault_trace(p, platform, platform_name, false)),
+        None => RunSpec::plain(),
+    }
 }
 
 fn load_descriptor(path: &str) -> AppDescriptor {
@@ -451,28 +494,30 @@ fn main() {
             // is disabled, so repeated invocations are byte-identical. With
             // `--fault-trace-out` the input schedule runs live (correlated
             // domains may fire) and the selected strategy's effective trace
-            // is written out for later replay.
-            let fault_schedule = fault_trace_path.as_deref().map(|p| {
-                let trace = load_fault_trace(p);
-                let recording = fault_trace_out.is_some();
-                eprintln!(
-                    "fault trace: {p} ({} mode)",
-                    if recording { "record" } else { "replay" }
-                );
-                if recording {
-                    trace.schedule
-                } else {
-                    trace.replay_schedule()
+            // is written out for later replay. Degraded-mode plan repair
+            // runs with health and adaptation off, so the only delta
+            // against the faulty run is the repair itself.
+            let spec = match fault_trace_path.as_deref() {
+                None => RunSpec::plain(),
+                Some(p) => {
+                    let recording = fault_trace_out.is_some();
+                    let schedule = load_fault_trace(p, &platform, &platform_name, recording);
+                    eprintln!(
+                        "fault trace: {p} ({} mode)",
+                        if recording { "record" } else { "replay" }
+                    );
+                    if replan {
+                        RunSpec::repairing(
+                            schedule,
+                            HealthConfig::disabled(),
+                            AdaptConfig::disabled(),
+                            ReplanConfig::enabled_default(),
+                        )
+                    } else {
+                        RunSpec::faulty(schedule)
+                    }
                 }
-            });
-            // Reject a schedule that names devices the chosen platform does
-            // not have with a typed error instead of a mid-simulation panic.
-            if let Some(schedule) = &fault_schedule {
-                if let Err(e) = schedule.validate_for(&platform) {
-                    eprintln!("fault trace: schedule invalid for platform '{platform_name}': {e}");
-                    exit(1);
-                }
-            }
+            };
             let analysis = analyzer.analyze(&desc);
             let names: Vec<&str> = platform
                 .devices
@@ -493,73 +538,32 @@ fn main() {
                     "config", "time", "GPU share", "transferred", "decisions"
                 );
             }
-            for config in [ExecutionConfig::OnlyGpu, ExecutionConfig::OnlyCpu]
-                .into_iter()
-                .chain(
-                    analysis
-                        .ranking
-                        .iter()
-                        .map(|&s| ExecutionConfig::Strategy(s)),
-                )
-            {
+            for config in analyzer.candidates(&desc) {
                 let label = config.to_string();
-                let report = if let (true, Some(schedule)) = (replan, &fault_schedule) {
-                    // Degraded-mode plan repair: a typed `ReplanError` from
-                    // any configuration aborts the comparison non-zero —
-                    // silent fallback would misrepresent the repaired times.
-                    let result = if metrics_path.is_some() {
-                        let mut mobs = MetricsObserver::new(&platform, &label);
-                        let result = analyzer.simulate_repairing_observed(
-                            &desc,
-                            config,
-                            schedule,
-                            RetryPolicy::default(),
-                            &HealthConfig::disabled(),
-                            &AdaptConfig::disabled(),
-                            &ReplanConfig::enabled_default(),
-                            &mut mobs,
-                        );
-                        registry.merge(mobs.registry());
-                        result
-                    } else {
-                        analyzer.simulate_repairing(
-                            &desc,
-                            config,
-                            schedule,
-                            RetryPolicy::default(),
-                            &HealthConfig::disabled(),
-                            &AdaptConfig::disabled(),
-                            &ReplanConfig::enabled_default(),
-                        )
-                    };
-                    result.unwrap_or_else(|e| {
-                        eprintln!("replan: {label}: {e}");
-                        exit(1);
-                    })
-                } else if let Some(schedule) = &fault_schedule {
-                    if metrics_path.is_some() {
-                        let mut mobs = MetricsObserver::new(&platform, &label);
-                        let report = analyzer.simulate_resilient_observed(
-                            &desc,
-                            config,
-                            schedule,
-                            RetryPolicy::default(),
-                            &HealthConfig::disabled(),
-                            &mut mobs,
-                        );
-                        registry.merge(mobs.registry());
-                        report
-                    } else {
-                        analyzer.simulate_faulty(&desc, config, schedule, RetryPolicy::default())
-                    }
-                } else if metrics_path.is_some() {
-                    let mut mobs = MetricsObserver::new(&platform, &label);
-                    let report = analyzer.simulate_observed(&desc, config, &mut mobs);
-                    registry.merge(mobs.registry());
-                    report
-                } else {
-                    analyzer.simulate(&desc, config)
+                let mut mobs = metrics_path
+                    .is_some()
+                    .then(|| MetricsObserver::new(&platform, &label));
+                let mut null = NullObserver;
+                let obs: &mut dyn Observer = match &mut mobs {
+                    Some(m) => m,
+                    None => &mut null,
                 };
+                let report = analyzer
+                    .run(&desc, config, &spec, obs, None)
+                    .unwrap_or_else(|e| {
+                        eprintln!("compare: {label}: {e}");
+                        exit(1);
+                    });
+                if let Some(m) = &mobs {
+                    registry.merge(m.registry());
+                }
+                // Degraded-mode plan repair: a typed `ReplanError` from any
+                // configuration aborts the comparison non-zero — silent
+                // fallback would misrepresent the repaired times.
+                if let Some(e) = &report.adapt.replan_error {
+                    eprintln!("replan: {label}: {e}");
+                    exit(1);
+                }
                 if config == ExecutionConfig::Strategy(analysis.best) {
                     best_synth = report.synthesized_faults.clone();
                 }
@@ -595,7 +599,7 @@ fn main() {
             if let Some(p) = &metrics_path {
                 write_metrics(p, &registry);
             }
-            if let (Some(out), Some(schedule)) = (&fault_trace_out, &fault_schedule) {
+            if let (Some(out), Some(schedule)) = (&fault_trace_out, &spec.schedule) {
                 let trace = FaultTrace::new(schedule.clone(), best_synth);
                 if let Err(e) = fs::write(out, trace.to_json()) {
                     eprintln!("cannot write fault trace {out}: {e}");
@@ -619,11 +623,10 @@ fn main() {
             let mut mobs = MetricsObserver::new(&platform, &analysis.best.to_string());
             let report = {
                 let mut multi = MultiObserver::new().with(&mut tobs).with(&mut mobs);
-                analyzer.simulate_observed(
-                    &desc,
-                    ExecutionConfig::Strategy(analysis.best),
-                    &mut multi,
-                )
+                let config = ExecutionConfig::Strategy(analysis.best);
+                analyzer
+                    .run(&desc, config, &RunSpec::plain(), &mut multi, None)
+                    .expect("an unjournaled plain run cannot fail")
             };
             println!(
                 "{} under {} — {}",
@@ -744,10 +747,7 @@ fn main() {
             };
             let analysis = analyzer.analyze(&desc);
             let config = ExecutionConfig::Strategy(analysis.best);
-            let spec = match fault_trace_path.as_deref() {
-                Some(p) => RunSpec::faulty(load_fault_trace(p).replay_schedule()),
-                None => RunSpec::plain(),
-            };
+            let spec = fault_spec(fault_trace_path.as_deref(), &platform, &platform_name);
             let mut kill = match (crash_after, kill_at_ms) {
                 (Some(_), Some(_)) => {
                     eprintln!("--crash-after and --kill-at are mutually exclusive");
@@ -770,28 +770,24 @@ fn main() {
                 Some(k) => JournalSink::record_with_kill(k),
                 None => JournalSink::record(),
             };
-            let result = if metrics_path.is_some() || metrics_stream_path.is_some() {
-                // The SnapshotObserver wraps the plain MetricsObserver, so
-                // `--metrics` output stays byte-identical with or without
-                // `--metrics-stream`.
-                let mut snap = SnapshotObserver::new(&platform, "journaled");
-                let r = analyzer
-                    .simulate_journaled_observed(&desc, config, &spec, &mut sink, &mut snap);
-                if r.is_ok() {
-                    if let Some(mp) = &metrics_path {
-                        write_metrics(mp, snap.registry());
-                    }
-                    if let Some(sp) = &metrics_stream_path {
-                        if let Err(e) = fs::write(sp, snap.stream()) {
-                            eprintln!("cannot write metrics stream {sp}: {e}");
-                            exit(1);
-                        }
-                    }
-                }
-                r
-            } else {
-                analyzer.simulate_journaled(&desc, config, &spec, &mut sink)
+            // The SnapshotObserver wraps the plain MetricsObserver, so
+            // `--metrics` output stays byte-identical with or without
+            // `--metrics-stream`.
+            let mut snap = (metrics_path.is_some() || metrics_stream_path.is_some())
+                .then(|| SnapshotObserver::new(&platform, "journaled"));
+            let mut null = NullObserver;
+            let obs: &mut dyn Observer = match &mut snap {
+                Some(s) => s,
+                None => &mut null,
             };
+            let result = analyzer.run(&desc, config, &spec, obs, Some(&mut sink));
+            if let (Ok(_), Some(snap)) = (&result, &snap) {
+                write_snapshot(
+                    snap,
+                    metrics_path.as_deref(),
+                    metrics_stream_path.as_deref(),
+                );
+            }
             // The journal is written either way: a killed run leaves the
             // committed prefix for `matchmake resume` to finish.
             if let Err(e) = fs::write(journal_path, sink.text()) {
@@ -822,20 +818,14 @@ fn main() {
             }
             let analysis = analyzer.analyze(&desc);
             let config = ExecutionConfig::Strategy(analysis.best);
+            let spec = fault_spec(fault_trace_path.as_deref(), &platform, &platform_name);
             let mut tobs = TraceObserver::new();
-            let report = match fault_trace_path.as_deref() {
-                Some(p) => {
-                    let spec = RunSpec::faulty(load_fault_trace(p).replay_schedule());
-                    let mut sink = JournalSink::record();
-                    analyzer
-                        .simulate_journaled_observed(&desc, config, &spec, &mut sink, &mut tobs)
-                        .unwrap_or_else(|e| {
-                            eprintln!("flame run failed: {e}");
-                            exit(1);
-                        })
-                }
-                None => analyzer.simulate_observed(&desc, config, &mut tobs),
-            };
+            let report = analyzer
+                .run(&desc, config, &spec, &mut tobs, None)
+                .unwrap_or_else(|e| {
+                    eprintln!("flame run failed: {e}");
+                    exit(1);
+                });
             let tree = SpanTree::from_trace(tobs.trace(), &platform);
             if let Some(cp) = &chrome_out {
                 let json = SpanTree::to_chrome_json_with_flows(tobs.trace(), &platform);
@@ -907,7 +897,7 @@ fn main() {
                 let stored = j.header.inputs.get("config")?.clone();
                 serde_json::from_str::<ExecutionConfig>(&stored).ok()
             });
-            let resume_with = |obs: &mut dyn hetero_runtime::Observer| {
+            let resume_with = |obs: &mut dyn Observer| {
                 if salvage {
                     analyzer.resume_salvaged(&text, obs)
                 } else {
@@ -916,26 +906,23 @@ fn main() {
                         .map(|(r, t)| (r, t, None))
                 }
             };
-            let result = if metrics_path.is_some() || metrics_stream_path.is_some() {
-                // Resume redo-replays from t = 0, so the regenerated stream
-                // is byte-identical to the uninterrupted run's.
-                let mut snap = SnapshotObserver::new(&platform, "journaled");
-                let r = resume_with(&mut snap);
-                if r.is_ok() {
-                    if let Some(mp) = &metrics_path {
-                        write_metrics(mp, snap.registry());
-                    }
-                    if let Some(sp) = &metrics_stream_path {
-                        if let Err(e) = fs::write(sp, snap.stream()) {
-                            eprintln!("cannot write metrics stream {sp}: {e}");
-                            exit(1);
-                        }
-                    }
-                }
-                r
-            } else {
-                resume_with(&mut hetero_runtime::NullObserver)
+            // Resume redo-replays from t = 0, so the regenerated stream is
+            // byte-identical to the uninterrupted run's.
+            let mut snap = (metrics_path.is_some() || metrics_stream_path.is_some())
+                .then(|| SnapshotObserver::new(&platform, "journaled"));
+            let mut null = NullObserver;
+            let obs: &mut dyn Observer = match &mut snap {
+                Some(s) => s,
+                None => &mut null,
             };
+            let result = resume_with(obs);
+            if let (Ok(_), Some(snap)) = (&result, &snap) {
+                write_snapshot(
+                    snap,
+                    metrics_path.as_deref(),
+                    metrics_stream_path.as_deref(),
+                );
+            }
             match result {
                 Ok((report, full_text, salvaged)) => {
                     if let Some(s) = &salvaged {

@@ -12,10 +12,14 @@ use crate::ranking::{best_strategy, ranking, SyncMode};
 use crate::strategy::{ExecutionConfig, Strategy};
 use hetero_platform::Platform;
 use hetero_runtime::{
-    simulate, simulate_dp_perf_warmed, simulate_dp_perf_warmed_observed, simulate_observed,
-    DepScheduler, Observer, PinnedScheduler, RunReport,
+    simulate_spec, DepScheduler, JournalError, JournalSink, NullObserver, Observer, PerfScheduler,
+    PinnedScheduler, RunMode, RunReport, RunSpec, Scheduler,
 };
 use serde::{Deserialize, Serialize};
+
+/// Why the `simulate*` shims may unwrap [`Analyzer::run`]: a run with no
+/// journal attached and a schedule for every faulty mode cannot fail.
+pub(crate) const UNJOURNALED: &str = "an unjournaled run with its schedule cannot fail";
 
 /// The analyzer's verdict for one application.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -88,45 +92,82 @@ impl<'a> Analyzer<'a> {
         self.planner.plan(desc, config)
     }
 
-    /// Plan and simulate one configuration, using the scheduler the
-    /// configuration calls for (DP-Perf runs with the paper's excluded
-    /// profiling warm-up).
-    pub fn simulate(&self, desc: &AppDescriptor, config: ExecutionConfig) -> RunReport {
-        let plan = self.plan(desc, config);
-        let platform = self.planner.platform;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate(&plan.program, platform, &mut s)
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                simulate_dp_perf_warmed(&plan.program, platform)
-            }
-            _ => simulate(&plan.program, platform, &mut PinnedScheduler),
-        }
-    }
-
-    /// [`Analyzer::simulate`] with an [`Observer`] installed on the run
-    /// (for DP-Perf, on the measured run only — the profiling warm-up is
-    /// excluded from the observed stream just as it is from the report).
-    pub fn simulate_observed(
+    /// Step 5: plan and run one configuration as `spec` describes — the
+    /// one place a run is assembled.
+    ///
+    /// * **Planner.** Adaptive and repairing runs are planned by the
+    ///   [misprediction planner](Analyzer::simulate_adaptive), which profiled
+    ///   the platform under the schedule's `ProfilePerturb` windows; every
+    ///   other mode uses the analyzer's own planner.
+    /// * **Scheduler.** DP-Dep and DP-Perf get their dynamic schedulers,
+    ///   everything else is pinned. DP-Perf first runs the paper's
+    ///   profiling warm-up ([`PerfScheduler::warmed`]), unobserved and
+    ///   unjournaled; it is excluded from the report and from `obs`.
+    /// * **Journal.** With `journal` attached, the header — descriptor,
+    ///   platform, config and spec serialized as named inputs — is written
+    ///   before the first event, so the journal is self-contained and
+    ///   [`Analyzer::resume`] can rebuild the run from it alone.
+    ///
+    /// Returns [`JournalError::Killed`] when the sink's kill schedule fires
+    /// (the journal text accumulated so far is valid and resumable), and
+    /// [`JournalError::HeaderMismatch`] for a faulty mode without a
+    /// schedule. An unjournaled run with its schedule never fails. A
+    /// repairing run that gave up reports through
+    /// `RunReport::adapt.replan_error`.
+    pub fn run(
         &self,
         desc: &AppDescriptor,
         config: ExecutionConfig,
+        spec: &RunSpec,
         obs: &mut dyn Observer,
-    ) -> RunReport {
-        let plan = self.plan(desc, config);
-        let platform = self.planner.platform;
-        match config {
+        mut journal: Option<&mut JournalSink>,
+    ) -> Result<RunReport, JournalError> {
+        if let Some(sink) = journal.as_deref_mut() {
+            sink.begin(&self.journal_header(desc, config, spec))?;
+        }
+        let mispredicted = match spec.mode {
+            RunMode::Adaptive | RunMode::Repairing => {
+                Some(self.misprediction_planner(spec.require_schedule()?))
+            }
+            _ => None,
+        };
+        let planner = mispredicted.as_ref().unwrap_or(&self.planner);
+        let plan = planner.plan(desc, config);
+        let platform = planner.platform;
+        let (mut dep, mut perf, mut pinned);
+        let scheduler: &mut dyn Scheduler = match config {
             ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_observed(&plan.program, platform, &mut s, obs)
+                dep = DepScheduler::new(platform);
+                &mut dep
             }
             ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                simulate_dp_perf_warmed_observed(&plan.program, platform, obs)
+                perf = PerfScheduler::warmed(&plan.program, platform, spec);
+                &mut perf
             }
-            _ => simulate_observed(&plan.program, platform, &mut PinnedScheduler, obs),
-        }
+            _ => {
+                pinned = PinnedScheduler;
+                &mut pinned
+            }
+        };
+        // The controller re-solves the (mispredicted) static decision.
+        let adapt_plan = mispredicted.and_then(|p| p.adapt_plan(desc, config));
+        simulate_spec(
+            &plan.program,
+            platform,
+            scheduler,
+            spec,
+            adapt_plan,
+            obs,
+            journal,
+        )
+    }
+
+    /// Plan and simulate one configuration fault-free, using the scheduler
+    /// the configuration calls for (DP-Perf runs with the paper's excluded
+    /// profiling warm-up).
+    pub fn simulate(&self, desc: &AppDescriptor, config: ExecutionConfig) -> RunReport {
+        self.run(desc, config, &RunSpec::plain(), &mut NullObserver, None)
+            .expect(UNJOURNALED)
     }
 
     /// Plan and simulate the analyzer-selected best strategy.
@@ -136,25 +177,29 @@ impl<'a> Analyzer<'a> {
         (analysis, report)
     }
 
-    /// The paper's §IV experiment for one application: simulate the two
-    /// single-device baselines and every suitable strategy; returns
-    /// `(config, report)` pairs with the baselines first and strategies in
-    /// Table I rank order.
-    pub fn compare_all(&self, desc: &AppDescriptor) -> Vec<(ExecutionConfig, RunReport)> {
-        let analysis = self.analyze(desc);
-        let mut out = Vec::new();
-        for config in [ExecutionConfig::OnlyGpu, ExecutionConfig::OnlyCpu]
+    /// The configurations the paper's §IV experiment compares for one
+    /// application: the two single-device baselines, then every suitable
+    /// strategy in Table I rank order.
+    pub fn candidates(&self, desc: &AppDescriptor) -> Vec<ExecutionConfig> {
+        [ExecutionConfig::OnlyGpu, ExecutionConfig::OnlyCpu]
             .into_iter()
             .chain(
-                analysis
+                self.analyze(desc)
                     .ranking
-                    .iter()
-                    .map(|&s| ExecutionConfig::Strategy(s)),
+                    .into_iter()
+                    .map(ExecutionConfig::Strategy),
             )
-        {
-            out.push((config, self.simulate(desc, config)));
-        }
-        out
+            .collect()
+    }
+
+    /// The paper's §IV experiment for one application: simulate every
+    /// [candidate](Analyzer::candidates); returns `(config, report)` pairs
+    /// with the baselines first and strategies in Table I rank order.
+    pub fn compare_all(&self, desc: &AppDescriptor) -> Vec<(ExecutionConfig, RunReport)> {
+        self.candidates(desc)
+            .into_iter()
+            .map(|config| (config, self.simulate(desc, config)))
+            .collect()
     }
 }
 
@@ -187,6 +232,32 @@ mod tests {
         assert_eq!(an.best, Strategy::SpSingle);
         assert!(report.makespan > hetero_platform::SimTime::ZERO);
         assert_eq!(report.scheduler, "pinned");
+    }
+
+    #[test]
+    fn a_faulty_spec_without_a_schedule_is_a_typed_error() {
+        let platform = Platform::icpp15();
+        let a = Analyzer::new(&platform);
+        let d = toy_descriptor(1, ExecutionFlow::Sequence);
+        let config = ExecutionConfig::Strategy(Strategy::DpPerf);
+        for mode in [
+            RunMode::Faulty,
+            RunMode::Resilient,
+            RunMode::Adaptive,
+            RunMode::Repairing,
+        ] {
+            let spec = RunSpec {
+                mode,
+                ..RunSpec::plain()
+            };
+            let err = a
+                .run(&d, config, &spec, &mut NullObserver, None)
+                .unwrap_err();
+            assert!(
+                matches!(err, JournalError::HeaderMismatch { .. }),
+                "{mode:?}: {err}"
+            );
+        }
     }
 
     #[test]

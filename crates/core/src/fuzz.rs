@@ -692,8 +692,8 @@ pub fn run_oracles_counted(
     // faulty path always, and on the repairing path when the schedule
     // carries a permanent dropout (crash × plan-repair).
     {
-        use crate::journal::RunSpec;
         use hetero_platform::KillSchedule;
+        use hetero_runtime::RunSpec;
         use hetero_runtime::{JournalError, JournalSink, RunReport};
 
         let check_crash = |spec: &RunSpec,
@@ -831,8 +831,8 @@ pub fn run_oracles_counted(
     // adaptive and repairing for static hybrid configs, where the
     // controller and re-planner apply).
     {
-        use crate::journal::RunSpec;
         use hetero_runtime::fold_stream;
+        use hetero_runtime::RunSpec;
 
         let mut first_stream_check = true;
         let mut check_stream =

@@ -1,14 +1,12 @@
 //! Crash-consistent analyzer runs: journaled execution and resume.
 //!
 //! The executor-level journal (`hetero_runtime::journal`) records *one*
-//! run; this module makes a whole analyzer invocation durable. A
-//! [`RunSpec`] names which executor path the run takes and carries every
-//! configuration knob beyond the descriptor/config pair;
-//! [`Analyzer::simulate_journaled`] serializes the descriptor, platform,
-//! execution config, and spec into the journal header and executes the
-//! run with a `JournalSink` committing one record per epoch. A later
-//! [`Analyzer::resume`] reconstructs the entire run *from the journal
-//! alone* — descriptor, config, and spec are parsed back out of the
+//! run; this module makes a whole analyzer invocation durable.
+//! [`Analyzer::run`] with a journal attached serializes the descriptor,
+//! platform, execution config, and [`RunSpec`] into the journal header and
+//! executes the run with a `JournalSink` committing one record per epoch.
+//! A later [`Analyzer::resume`] reconstructs the entire run *from the
+//! journal alone* — descriptor, config, and spec are parsed back out of the
 //! header (the platform is byte-validated against the resuming analyzer's
 //! own), the prefix is re-executed under byte-exact redo-replay
 //! validation, and the run continues past the crash point to a final
@@ -16,125 +14,12 @@
 
 use crate::analyzer::Analyzer;
 use crate::descriptor::AppDescriptor;
-use crate::strategy::{ExecutionConfig, Strategy};
-use hetero_platform::{FaultSchedule, RetryPolicy};
+use crate::strategy::ExecutionConfig;
 use hetero_runtime::{
-    simulate_journaled_observed, AdaptConfig, DepScheduler, HealthConfig, JournalError,
-    JournalHeader, JournalSink, Observer, PerfScheduler, PinnedScheduler, ReplanConfig, RunJournal,
-    RunReport,
+    JournalError, JournalHeader, JournalSink, NullObserver, Observer, RunJournal, RunReport,
+    RunSpec,
 };
-use serde::{Deserialize, Serialize};
-
-/// Which executor path a journaled run takes — the journal-header analog
-/// of choosing between `Analyzer::simulate`, `simulate_faulty`,
-/// `simulate_resilient`, `simulate_adaptive`, and `simulate_repairing`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RunMode {
-    /// Fault-free execution (`Analyzer::simulate`).
-    Plain,
-    /// Fault injection with retries, mitigation off
-    /// (`Analyzer::simulate_faulty`).
-    Faulty,
-    /// Faults plus the gray-failure health subsystem
-    /// (`Analyzer::simulate_resilient`).
-    Resilient,
-    /// Faults, health, and the adaptive-repartitioning controller
-    /// (`Analyzer::simulate_adaptive`).
-    Adaptive,
-    /// The full stack including degraded-mode plan repair
-    /// (`Analyzer::simulate_repairing`).
-    Repairing,
-}
-
-/// Everything beyond the descriptor and execution config that shapes a
-/// journaled run. Serialized whole into the journal header, so resume
-/// re-creates the exact executor configuration without any side channel.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RunSpec {
-    /// The executor path.
-    pub mode: RunMode,
-    /// The fault schedule (required for every mode but [`RunMode::Plain`]).
-    pub schedule: Option<FaultSchedule>,
-    /// Retry/failover budgets for the faulty paths.
-    pub policy: RetryPolicy,
-    /// Gray-failure mitigation ([`RunMode::Resilient`] and up; the faulty
-    /// mode runs with it disabled regardless).
-    pub health: HealthConfig,
-    /// The adaptation controller ([`RunMode::Adaptive`] and up).
-    pub adapt: AdaptConfig,
-    /// Degraded-mode plan repair ([`RunMode::Repairing`] only).
-    pub replan: ReplanConfig,
-}
-
-impl RunSpec {
-    /// A fault-free run.
-    pub fn plain() -> Self {
-        RunSpec {
-            mode: RunMode::Plain,
-            schedule: None,
-            policy: RetryPolicy::default(),
-            health: HealthConfig::disabled(),
-            adapt: AdaptConfig::disabled(),
-            replan: ReplanConfig::disabled(),
-        }
-    }
-
-    /// A faulty run under `schedule` with default retry budgets.
-    pub fn faulty(schedule: FaultSchedule) -> Self {
-        RunSpec {
-            mode: RunMode::Faulty,
-            schedule: Some(schedule),
-            ..RunSpec::plain()
-        }
-    }
-
-    /// A resilient run: `schedule` plus `health`.
-    pub fn resilient(schedule: FaultSchedule, health: HealthConfig) -> Self {
-        RunSpec {
-            mode: RunMode::Resilient,
-            schedule: Some(schedule),
-            health,
-            ..RunSpec::plain()
-        }
-    }
-
-    /// An adaptive run: `schedule`, `health`, and the controller `adapt`.
-    pub fn adaptive(schedule: FaultSchedule, health: HealthConfig, adapt: AdaptConfig) -> Self {
-        RunSpec {
-            mode: RunMode::Adaptive,
-            schedule: Some(schedule),
-            health,
-            adapt,
-            ..RunSpec::plain()
-        }
-    }
-
-    /// A repairing run: the full stack.
-    pub fn repairing(
-        schedule: FaultSchedule,
-        health: HealthConfig,
-        adapt: AdaptConfig,
-        replan: ReplanConfig,
-    ) -> Self {
-        RunSpec {
-            mode: RunMode::Repairing,
-            schedule: Some(schedule),
-            health,
-            adapt,
-            replan,
-            ..RunSpec::plain()
-        }
-    }
-
-    /// The schedule, or a typed error for a mode that requires one.
-    fn require_schedule(&self) -> Result<&FaultSchedule, JournalError> {
-        self.schedule
-            .as_ref()
-            .ok_or_else(|| JournalError::HeaderMismatch {
-                field: format!("run mode {:?} requires a fault schedule", self.mode),
-            })
-    }
-}
+use serde::Serialize;
 
 fn json<T: Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("journal inputs always serialize")
@@ -152,17 +37,8 @@ fn parse_input<T: serde::Deserialize>(
 }
 
 impl<'a> Analyzer<'a> {
-    /// [`Analyzer::simulate`] and its faulty/resilient/adaptive/repairing
-    /// siblings, selected by `spec.mode`, with `sink` committing one
-    /// journal record per epoch flush. The sink is opened here: the header
-    /// (descriptor, platform, config, and spec serialized as named inputs)
-    /// is written before the first event executes, making the journal
-    /// self-contained. Returns [`JournalError::Killed`] when the sink's
-    /// kill schedule fires — the journal text accumulated in the sink is
-    /// valid and resumable — and never fails for an unkilled record-mode
-    /// run. A repairing run that gave up reports through
-    /// `RunReport::adapt.replan_error`, exactly like
-    /// `Analyzer::simulate_repairing_observed`'s error channel.
+    /// [`Analyzer::run`] unobserved, with `sink` committing one journal
+    /// record per epoch flush.
     pub fn simulate_journaled(
         &self,
         desc: &AppDescriptor,
@@ -170,28 +46,7 @@ impl<'a> Analyzer<'a> {
         spec: &RunSpec,
         sink: &mut JournalSink,
     ) -> Result<RunReport, JournalError> {
-        self.simulate_journaled_observed(
-            desc,
-            config,
-            spec,
-            sink,
-            &mut hetero_runtime::NullObserver,
-        )
-    }
-
-    /// [`Analyzer::simulate_journaled`] with a pluggable [`Observer`]
-    /// (DP-Perf's warm-up pass runs unobserved *and* unjournaled — it is
-    /// a pure function of the schedule, so resume regenerates it).
-    pub fn simulate_journaled_observed(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        spec: &RunSpec,
-        sink: &mut JournalSink,
-        obs: &mut dyn Observer,
-    ) -> Result<RunReport, JournalError> {
-        sink.begin(&self.journal_header(desc, config, spec))?;
-        self.dispatch_journaled(desc, config, spec, sink, obs)
+        self.run(desc, config, spec, &mut NullObserver, Some(sink))
     }
 
     /// Resume a run from loaded journal `text`: validate and parse the
@@ -202,7 +57,7 @@ impl<'a> Analyzer<'a> {
     /// what the uninterrupted run would have written, ready to be stored
     /// in place of the truncated file.
     pub fn resume(&self, text: &str) -> Result<(RunReport, String), JournalError> {
-        self.resume_observed(text, &mut hetero_runtime::NullObserver)
+        self.resume_observed(text, &mut NullObserver)
     }
 
     /// [`Analyzer::resume`] with a pluggable [`Observer`]. The observer
@@ -255,14 +110,13 @@ impl<'a> Analyzer<'a> {
             });
         }
         let mut sink = JournalSink::resume(journal);
-        sink.begin(&self.journal_header(&desc, config, &spec))?;
-        let report = self.dispatch_journaled(&desc, config, &spec, &mut sink, obs)?;
+        let report = self.run(&desc, config, &spec, obs, Some(&mut sink))?;
         Ok((report, sink.text()))
     }
 
     /// The journal header for one run: seed, stream constants, and the
     /// four input documents resume needs.
-    fn journal_header(
+    pub(crate) fn journal_header(
         &self,
         desc: &AppDescriptor,
         config: ExecutionConfig,
@@ -274,236 +128,6 @@ impl<'a> Analyzer<'a> {
             .with_input("config", json(&config))
             .with_input("run", json(spec))
     }
-
-    /// The journaled mirror of the analyzer's five simulate dispatches:
-    /// same planner, same scheduler construction, same warm-up handling,
-    /// byte-identical event sequences — with the sink observing epoch
-    /// commits.
-    fn dispatch_journaled(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        spec: &RunSpec,
-        sink: &mut JournalSink,
-        obs: &mut dyn Observer,
-    ) -> Result<RunReport, JournalError> {
-        match spec.mode {
-            RunMode::Plain => self.journaled_plain(desc, config, sink, obs),
-            RunMode::Faulty | RunMode::Resilient => {
-                let schedule = spec.require_schedule()?.clone();
-                let health = if spec.mode == RunMode::Faulty {
-                    HealthConfig::disabled()
-                } else {
-                    spec.health
-                };
-                self.journaled_resilient(desc, config, &schedule, spec.policy, health, sink, obs)
-            }
-            RunMode::Adaptive | RunMode::Repairing => {
-                let schedule = spec.require_schedule()?.clone();
-                let replan = (spec.mode == RunMode::Repairing).then_some(spec.replan);
-                self.journaled_adaptive(desc, config, &schedule, spec, replan, sink, obs)
-            }
-        }
-    }
-
-    /// Journaled [`Analyzer::simulate_observed`].
-    fn journaled_plain(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        sink: &mut JournalSink,
-        obs: &mut dyn Observer,
-    ) -> Result<RunReport, JournalError> {
-        let plan = self.plan(desc, config);
-        let platform = self.planner().platform;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    None,
-                    None,
-                    None,
-                    None,
-                    sink,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                // The warm-up pass is a pure function of the program and
-                // platform; it stays unjournaled and unobserved, exactly
-                // as it stays out of the report (resume regenerates it).
-                let mut warm = PerfScheduler::new(platform);
-                let _ = hetero_runtime::simulate(&plan.program, platform, &mut warm);
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    None,
-                    None,
-                    None,
-                    None,
-                    sink,
-                    obs,
-                )
-            }
-            _ => simulate_journaled_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                None,
-                None,
-                None,
-                None,
-                sink,
-                obs,
-            ),
-        }
-    }
-
-    /// Journaled [`Analyzer::simulate_resilient_observed`] (the faulty
-    /// mode is this with health disabled).
-    #[allow(clippy::too_many_arguments)]
-    fn journaled_resilient(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: HealthConfig,
-        sink: &mut JournalSink,
-        obs: &mut dyn Observer,
-    ) -> Result<RunReport, JournalError> {
-        let plan = self.plan(desc, config);
-        let platform = self.planner().platform;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    Some((schedule, policy)),
-                    Some(health),
-                    None,
-                    None,
-                    sink,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                let warm_schedule = hetero_runtime::warmup_schedule(schedule);
-                let mut warm = PerfScheduler::new(platform);
-                let _ = hetero_runtime::simulate_resilient(
-                    &plan.program,
-                    platform,
-                    &mut warm,
-                    &warm_schedule,
-                    policy,
-                    &health,
-                );
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    Some((schedule, policy)),
-                    Some(health),
-                    None,
-                    None,
-                    sink,
-                    obs,
-                )
-            }
-            _ => simulate_journaled_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                Some((schedule, policy)),
-                Some(health),
-                None,
-                None,
-                sink,
-                obs,
-            ),
-        }
-    }
-
-    /// Journaled [`Analyzer::simulate_adaptive_observed`] /
-    /// [`Analyzer::simulate_repairing_observed`] (`replan` present on the
-    /// repairing path).
-    #[allow(clippy::too_many_arguments)]
-    fn journaled_adaptive(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        spec: &RunSpec,
-        replan: Option<ReplanConfig>,
-        sink: &mut JournalSink,
-        obs: &mut dyn Observer,
-    ) -> Result<RunReport, JournalError> {
-        let planner = self.misprediction_planner(schedule);
-        let plan = planner.plan(desc, config);
-        let platform = planner.platform;
-        let policy = spec.policy;
-        let health = spec.health;
-        let adapt = spec.adapt;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    Some((schedule, policy)),
-                    Some(health),
-                    Some((adapt, None)),
-                    replan,
-                    sink,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                let warm_schedule = hetero_runtime::warmup_schedule(schedule);
-                let mut warm = PerfScheduler::new(platform);
-                let _ = hetero_runtime::simulate_resilient(
-                    &plan.program,
-                    platform,
-                    &mut warm,
-                    &warm_schedule,
-                    policy,
-                    &health,
-                );
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    Some((schedule, policy)),
-                    Some(health),
-                    Some((adapt, None)),
-                    replan,
-                    sink,
-                    obs,
-                )
-            }
-            _ => simulate_journaled_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                Some((schedule, policy)),
-                Some(health),
-                Some((adapt, planner.adapt_plan(desc, config))),
-                replan,
-                sink,
-                obs,
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -511,7 +135,8 @@ mod tests {
     use super::*;
     use crate::descriptor::tests_support::toy_descriptor;
     use crate::descriptor::ExecutionFlow;
-    use hetero_platform::{DeviceId, KillSchedule, Platform, SimTime};
+    use crate::strategy::Strategy;
+    use hetero_platform::{DeviceId, FaultSchedule, KillSchedule, Platform, SimTime};
     use hetero_runtime::{check_identical, OracleKind};
 
     fn desc() -> AppDescriptor {
@@ -608,30 +233,5 @@ mod tests {
         assert!(
             matches!(err, JournalError::HeaderMismatch { field } if field.contains("platform"))
         );
-    }
-
-    #[test]
-    fn spec_constructors_pick_the_right_mode() {
-        let s = FaultSchedule::new(1);
-        assert_eq!(RunSpec::plain().mode, RunMode::Plain);
-        assert_eq!(RunSpec::faulty(s.clone()).mode, RunMode::Faulty);
-        assert_eq!(
-            RunSpec::resilient(s.clone(), HealthConfig::disabled()).mode,
-            RunMode::Resilient
-        );
-        assert_eq!(
-            RunSpec::adaptive(s.clone(), HealthConfig::disabled(), AdaptConfig::disabled()).mode,
-            RunMode::Adaptive
-        );
-        let spec = RunSpec::repairing(
-            s,
-            HealthConfig::disabled(),
-            AdaptConfig::disabled(),
-            ReplanConfig::enabled_default(),
-        );
-        assert_eq!(spec.mode, RunMode::Repairing);
-        // The spec round-trips through its header encoding.
-        let back: RunSpec = serde_json::from_str(&json(&spec)).unwrap();
-        assert_eq!(back, spec);
     }
 }

@@ -11,12 +11,14 @@
 //! matchmaker can also answer "which strategy loses the least when the
 //! platform fails?".
 
-use crate::analyzer::Analyzer;
+use crate::analyzer::{Analyzer, UNJOURNALED};
 use crate::descriptor::AppDescriptor;
 use crate::plan::Planner;
 use crate::strategy::ExecutionConfig;
 use hetero_platform::{FaultSchedule, FaultTrace, RetryPolicy, SimTime};
-use hetero_runtime::{AdaptConfig, HealthConfig, ReplanConfig, ReplanError, RunReport};
+use hetero_runtime::{
+    AdaptConfig, HealthConfig, NullObserver, ReplanConfig, ReplanError, RunReport, RunSpec,
+};
 
 /// One configuration's healthy/faulty pair from [`Analyzer::rank_by_degradation`].
 #[derive(Clone, Debug)]
@@ -65,7 +67,12 @@ impl<'a> Analyzer<'a> {
         schedule: &FaultSchedule,
         policy: RetryPolicy,
     ) -> RunReport {
-        self.simulate_resilient(desc, config, schedule, policy, &HealthConfig::disabled())
+        let spec = RunSpec {
+            policy,
+            ..RunSpec::faulty(schedule.clone())
+        };
+        self.run(desc, config, &spec, &mut NullObserver, None)
+            .expect(UNJOURNALED)
     }
 
     /// [`Analyzer::simulate_faulty`] with the gray-failure resilience
@@ -80,84 +87,12 @@ impl<'a> Analyzer<'a> {
         policy: RetryPolicy,
         health: &HealthConfig,
     ) -> RunReport {
-        self.simulate_resilient_observed(
-            desc,
-            config,
-            schedule,
+        let spec = RunSpec {
             policy,
-            health,
-            &mut hetero_runtime::NullObserver,
-        )
-    }
-
-    /// [`Analyzer::simulate_resilient`] with a pluggable
-    /// [`hetero_runtime::Observer`]. DP-Perf's warm-up pass runs
-    /// unobserved; only the measured pass feeds `obs`, so metrics and
-    /// traces describe exactly one run.
-    pub fn simulate_resilient_observed(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-        obs: &mut dyn hetero_runtime::Observer,
-    ) -> RunReport {
-        use crate::strategy::Strategy;
-        use hetero_runtime::{
-            simulate_resilient, simulate_resilient_observed, DepScheduler, PerfScheduler,
-            PinnedScheduler,
+            ..RunSpec::resilient(schedule.clone(), *health)
         };
-        let plan = self.plan(desc, config);
-        let platform = self.planner().platform;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_resilient_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    schedule,
-                    policy,
-                    health,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                // The warm-up learns rates under the base schedule with
-                // correlated triggering disabled, so the learned rates are
-                // replayable (see `hetero_runtime::warmup_schedule`).
-                let warm_schedule = hetero_runtime::warmup_schedule(schedule);
-                let mut warm = PerfScheduler::new(platform);
-                let _ = simulate_resilient(
-                    &plan.program,
-                    platform,
-                    &mut warm,
-                    &warm_schedule,
-                    policy,
-                    health,
-                );
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_resilient_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    schedule,
-                    policy,
-                    health,
-                    obs,
-                )
-            }
-            _ => simulate_resilient_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                schedule,
-                policy,
-                health,
-                obs,
-            ),
-        }
+        self.run(desc, config, &spec, &mut NullObserver, None)
+            .expect(UNJOURNALED)
     }
 
     /// Run `config` under `schedule` and record the run's *effective*
@@ -167,8 +102,8 @@ impl<'a> Analyzer<'a> {
     /// schedule — triggers baked in as ordinary windowed events,
     /// conditional triggering disabled — that replays this run
     /// byte-identically, and the trace's JSON form
-    /// ([`FaultTrace::to_json`]) can be archived or handed back to any
-    /// `rank_by_degradation_*` as a what-if.
+    /// ([`FaultTrace::to_json`]) can be archived or handed back to
+    /// [`Analyzer::rank_by_degradation`] as a what-if.
     pub fn record_fault_trace(
         &self,
         desc: &AppDescriptor,
@@ -182,7 +117,7 @@ impl<'a> Analyzer<'a> {
     }
 
     /// [`Analyzer::simulate_resilient`] with the adaptive-repartitioning
-    /// controller in the loop — the full PR-3 pipeline:
+    /// controller in the loop — the full planner-in-the-loop pipeline:
     ///
     /// 1. the plan is built by a planner whose profiled rates are skewed
     ///    by the schedule's `ProfilePerturb` windows open at time zero
@@ -205,95 +140,12 @@ impl<'a> Analyzer<'a> {
         health: &HealthConfig,
         adapt: &AdaptConfig,
     ) -> RunReport {
-        self.simulate_adaptive_observed(
-            desc,
-            config,
-            schedule,
+        let spec = RunSpec {
             policy,
-            health,
-            adapt,
-            &mut hetero_runtime::NullObserver,
-        )
-    }
-
-    /// [`Analyzer::simulate_adaptive`] with a pluggable
-    /// [`hetero_runtime::Observer`] — the way to capture the adaptation
-    /// event stream ([`hetero_runtime::TraceEvent::StrategyEscalated`],
-    /// [`hetero_runtime::TraceEvent::StrategyReinstated`], ...) from the
-    /// full planner-in-the-loop pipeline. DP-Perf's warm-up pass runs
-    /// unobserved, as in [`Analyzer::simulate_resilient_observed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_adaptive_observed(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-        adapt: &AdaptConfig,
-        obs: &mut dyn hetero_runtime::Observer,
-    ) -> RunReport {
-        use crate::strategy::Strategy;
-        use hetero_runtime::{
-            simulate_adaptive_observed, simulate_resilient, DepScheduler, PerfScheduler,
-            PinnedScheduler,
+            ..RunSpec::adaptive(schedule.clone(), *health, *adapt)
         };
-        let planner = self.misprediction_planner(schedule);
-        let plan = planner.plan(desc, config);
-        let platform = planner.platform;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_adaptive_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    schedule,
-                    policy,
-                    health,
-                    adapt,
-                    None,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                // Warm-up under the replayable form of the schedule, as in
-                // `simulate_resilient_observed` above.
-                let warm_schedule = hetero_runtime::warmup_schedule(schedule);
-                let mut warm = PerfScheduler::new(platform);
-                let _ = simulate_resilient(
-                    &plan.program,
-                    platform,
-                    &mut warm,
-                    &warm_schedule,
-                    policy,
-                    health,
-                );
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_adaptive_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    schedule,
-                    policy,
-                    health,
-                    adapt,
-                    None,
-                    obs,
-                )
-            }
-            _ => simulate_adaptive_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                schedule,
-                policy,
-                health,
-                adapt,
-                planner.adapt_plan(desc, config),
-                obs,
-            ),
-        }
+        self.run(desc, config, &spec, &mut NullObserver, None)
+            .expect(UNJOURNALED)
     }
 
     /// [`Analyzer::simulate_adaptive`] with degraded-mode plan repair
@@ -318,102 +170,14 @@ impl<'a> Analyzer<'a> {
         adapt: &AdaptConfig,
         replan: &ReplanConfig,
     ) -> Result<RunReport, ReplanError> {
-        self.simulate_repairing_observed(
-            desc,
-            config,
-            schedule,
+        let spec = RunSpec {
             policy,
-            health,
-            adapt,
-            replan,
-            &mut hetero_runtime::NullObserver,
-        )
-    }
-
-    /// [`Analyzer::simulate_repairing`] with a pluggable
-    /// [`hetero_runtime::Observer`] — the way to capture
-    /// [`hetero_runtime::TraceEvent::PlanRepaired`] /
-    /// [`hetero_runtime::TraceEvent::DeviceReadmitted`] streams from the
-    /// planner-in-the-loop pipeline. DP-Perf's warm-up pass runs
-    /// unobserved, as in [`Analyzer::simulate_resilient_observed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_repairing_observed(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-        adapt: &AdaptConfig,
-        replan: &ReplanConfig,
-        obs: &mut dyn hetero_runtime::Observer,
-    ) -> Result<RunReport, ReplanError> {
-        use crate::strategy::Strategy;
-        use hetero_runtime::{
-            simulate_repairing_observed, simulate_resilient, DepScheduler, PerfScheduler,
-            PinnedScheduler,
+            ..RunSpec::repairing(schedule.clone(), *health, *adapt, *replan)
         };
-        let planner = self.misprediction_planner(schedule);
-        let plan = planner.plan(desc, config);
-        let platform = planner.platform;
-        let report = match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_repairing_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    schedule,
-                    policy,
-                    health,
-                    adapt,
-                    None,
-                    replan,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                let warm_schedule = hetero_runtime::warmup_schedule(schedule);
-                let mut warm = PerfScheduler::new(platform);
-                let _ = simulate_resilient(
-                    &plan.program,
-                    platform,
-                    &mut warm,
-                    &warm_schedule,
-                    policy,
-                    health,
-                );
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_repairing_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    schedule,
-                    policy,
-                    health,
-                    adapt,
-                    None,
-                    replan,
-                    obs,
-                )
-            }
-            _ => simulate_repairing_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                schedule,
-                policy,
-                health,
-                adapt,
-                planner.adapt_plan(desc, config),
-                replan,
-                obs,
-            ),
-        };
-        match report.adapt.replan_error.clone() {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        let report = self
+            .run(desc, config, &spec, &mut NullObserver, None)
+            .expect(UNJOURNALED);
+        report.adapt.replan_error.clone().map_or(Ok(report), Err)
     }
 
     /// A planner that saw the perturbed platform while profiling: every
@@ -439,91 +203,38 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Replay the §IV comparison (both single-device baselines plus every
-    /// suitable strategy) healthy and under `schedule`, and return the
-    /// entries sorted by [`DegradationEntry::degradation`], most robust
-    /// first. Ties (and everything else) stay in Table I order, so the
-    /// ranking is deterministic.
+    /// Replay the §IV comparison ([`Analyzer::candidates`]) healthy and as
+    /// `spec` describes, and return the entries sorted by
+    /// [`DegradationEntry::degradation`], most robust first. Ties (and
+    /// everything else) stay in Table I order, so the ranking is
+    /// deterministic.
+    ///
+    /// A faulty spec asks which strategy loses the least when the platform
+    /// fails; a resilient one puts gray-failure mitigation in the loop,
+    /// answering whether mitigation changes the answer. An adaptive spec
+    /// replays every candidate with the schedule's misprediction applied to
+    /// its plan *and* the controller fighting back, while the healthy
+    /// baseline stays the faithful (unskewed) plan — so degradation
+    /// measures the full cost of the misprediction net of whatever the
+    /// controller recovered.
+    ///
+    /// # Panics
+    ///
+    /// If a faulty `spec` carries no schedule.
     pub fn rank_by_degradation(
         &self,
         desc: &AppDescriptor,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
+        spec: &RunSpec,
     ) -> Vec<DegradationEntry> {
-        self.rank_by_degradation_resilient(desc, schedule, policy, &HealthConfig::disabled())
-    }
-
-    /// [`Analyzer::rank_by_degradation`] with gray-failure mitigation in
-    /// the loop: every candidate replays under `schedule` *with* the
-    /// watchdog/verification/breaker configured by `health`, answering the
-    /// paper-level question "which partitioning strategy degrades most
-    /// gracefully when a device goes gray?" — and whether mitigation
-    /// changes the answer.
-    pub fn rank_by_degradation_resilient(
-        &self,
-        desc: &AppDescriptor,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-    ) -> Vec<DegradationEntry> {
-        let analysis = self.analyze(desc);
-        let configs: Vec<ExecutionConfig> = [ExecutionConfig::OnlyGpu, ExecutionConfig::OnlyCpu]
-            .into_iter()
-            .chain(
-                analysis
-                    .ranking
-                    .iter()
-                    .map(|&s| ExecutionConfig::Strategy(s)),
-            )
-            .collect();
-        let mut entries: Vec<DegradationEntry> = configs
+        let mut entries: Vec<DegradationEntry> = self
+            .candidates(desc)
             .into_iter()
             .map(|config| DegradationEntry {
                 config,
                 healthy: self.simulate(desc, config),
-                faulty: self.simulate_resilient(desc, config, schedule, policy, health),
-            })
-            .collect();
-        entries.sort_by(|a, b| {
-            a.degradation()
-                .partial_cmp(&b.degradation())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        entries
-    }
-
-    /// [`Analyzer::rank_by_degradation_resilient`] with adaptive
-    /// repartitioning in the loop: every candidate replays under
-    /// `schedule` with the misprediction applied to its plan *and* the
-    /// controller configured by `adapt` — answering "which strategy loses
-    /// the least when the model is wrong, given the runtime may fight
-    /// back?". The healthy baseline stays the faithful (unskewed) plan, so
-    /// degradation measures the full cost of the misprediction net of
-    /// whatever the controller recovered.
-    pub fn rank_by_degradation_adaptive(
-        &self,
-        desc: &AppDescriptor,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-        adapt: &AdaptConfig,
-    ) -> Vec<DegradationEntry> {
-        let analysis = self.analyze(desc);
-        let configs: Vec<ExecutionConfig> = [ExecutionConfig::OnlyGpu, ExecutionConfig::OnlyCpu]
-            .into_iter()
-            .chain(
-                analysis
-                    .ranking
-                    .iter()
-                    .map(|&s| ExecutionConfig::Strategy(s)),
-            )
-            .collect();
-        let mut entries: Vec<DegradationEntry> = configs
-            .into_iter()
-            .map(|config| DegradationEntry {
-                config,
-                healthy: self.simulate(desc, config),
-                faulty: self.simulate_adaptive(desc, config, schedule, policy, health, adapt),
+                faulty: self
+                    .run(desc, config, spec, &mut NullObserver, None)
+                    .expect(UNJOURNALED),
             })
             .collect();
         entries.sort_by(|a, b| {
@@ -587,7 +298,7 @@ mod tests {
         let platform = Platform::test_small();
         let analyzer = Analyzer::new(&platform);
         let schedule = FaultSchedule::new(1);
-        let entries = analyzer.rank_by_degradation(&app(), &schedule, RetryPolicy::default());
+        let entries = analyzer.rank_by_degradation(&app(), &RunSpec::faulty(schedule));
         assert!(!entries.is_empty());
         for e in &entries {
             assert!(
@@ -611,24 +322,15 @@ mod tests {
             4.0,
             4.0,
         );
-        let plain = analyzer.rank_by_degradation(&app(), &schedule, RetryPolicy::default());
-        let mitigated = analyzer.rank_by_degradation_resilient(
-            &app(),
-            &schedule,
-            RetryPolicy::default(),
-            &HealthConfig::monitored(),
-        );
+        let plain = analyzer.rank_by_degradation(&app(), &RunSpec::faulty(schedule.clone()));
+        let spec = RunSpec::resilient(schedule, HealthConfig::monitored());
+        let mitigated = analyzer.rank_by_degradation(&app(), &spec);
         assert_eq!(plain.len(), mitigated.len());
         // Only-CPU never touches the gray device either way.
         assert_eq!(plain[0].config, ExecutionConfig::OnlyCpu);
         assert_eq!(mitigated[0].config, ExecutionConfig::OnlyCpu);
         // The mitigated replay is deterministic.
-        let again = analyzer.rank_by_degradation_resilient(
-            &app(),
-            &schedule,
-            RetryPolicy::default(),
-            &HealthConfig::monitored(),
-        );
+        let again = analyzer.rank_by_degradation(&app(), &spec);
         for (a, b) in mitigated.iter().zip(&again) {
             assert_eq!(a.faulty.makespan, b.faulty.makespan);
         }
@@ -641,7 +343,7 @@ mod tests {
         // The GPU dies almost immediately: anything that leaned on it
         // degrades; Only-CPU never notices.
         let schedule = FaultSchedule::new(3).with_dropout(DeviceId(1), SimTime::from_micros(50));
-        let entries = analyzer.rank_by_degradation(&app(), &schedule, RetryPolicy::default());
+        let entries = analyzer.rank_by_degradation(&app(), &RunSpec::faulty(schedule));
         let best = &entries[0];
         assert_eq!(best.config, ExecutionConfig::OnlyCpu);
         assert!((best.degradation() - 1.0).abs() < 1e-9);

@@ -2,9 +2,9 @@
 //! [`SnapshotObserver`] attached, getting a per-epoch delta-encoded
 //! metrics feed alongside the final report.
 //!
-//! These are the `Analyzer::simulate_*` variants behind
-//! `matchmake run --metrics-stream <path>`: one `EpochSnapshot` JSON line
-//! per committed taskwait barrier plus a final run-end line. The hard
+//! The stream holds one `EpochSnapshot` JSON line per committed taskwait
+//! barrier plus a final run-end line — the feed behind
+//! `matchmake run --metrics-stream <path>`. The hard
 //! invariant (fuzz oracle 9, `stream-fold-equivalence`) is that
 //! [`fold_stream`](hetero_runtime::fold_stream) over the emitted lines
 //! reproduces the end-of-run [`MetricsRegistry`]
@@ -12,9 +12,8 @@
 
 use crate::analyzer::Analyzer;
 use crate::descriptor::AppDescriptor;
-use crate::journal::RunSpec;
 use crate::strategy::ExecutionConfig;
-use hetero_runtime::{JournalError, JournalSink, RunReport, SnapshotObserver};
+use hetero_runtime::{JournalError, JournalSink, RunReport, RunSpec, SnapshotObserver};
 
 /// The strategy label streamed snapshots are tagged with, matching the
 /// label `matchmake run`/`resume` use for journaled metrics exports.
@@ -34,27 +33,13 @@ impl Analyzer<'_> {
         spec: &RunSpec,
     ) -> Result<(RunReport, SnapshotObserver), JournalError> {
         let mut obs = SnapshotObserver::new(self.planner().platform, STREAM_STRATEGY_LABEL);
-        let mut sink = JournalSink::record();
-        let report = self.simulate_journaled_observed(desc, config, spec, &mut sink, &mut obs)?;
-        Ok((report, obs))
-    }
-
-    /// [`Analyzer::simulate_streamed`] with a live line sink: `sink` is
-    /// called with each snapshot line the moment its barrier commits,
-    /// before the run finishes — the live feed behind
-    /// `matchmake run --metrics-stream`.
-    pub fn simulate_streaming(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        spec: &RunSpec,
-        sink: impl FnMut(&str) + 'static,
-    ) -> Result<(RunReport, SnapshotObserver), JournalError> {
-        let mut obs =
-            SnapshotObserver::new(self.planner().platform, STREAM_STRATEGY_LABEL).with_sink(sink);
-        let mut journal = JournalSink::record();
-        let report =
-            self.simulate_journaled_observed(desc, config, spec, &mut journal, &mut obs)?;
+        let report = self.run(
+            desc,
+            config,
+            spec,
+            &mut obs,
+            Some(&mut JournalSink::record()),
+        )?;
         Ok((report, obs))
     }
 }
@@ -107,10 +92,12 @@ mod tests {
         let config = ExecutionConfig::Strategy(Strategy::SpVaried);
         let seen: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
         let tap = seen.clone();
-        let (_, obs) = analyzer
-            .simulate_streaming(&desc(), config, &RunSpec::plain(), move |line| {
+        let mut obs =
+            SnapshotObserver::new(&platform, STREAM_STRATEGY_LABEL).with_sink(move |line| {
                 tap.borrow_mut().push(line.to_string());
-            })
+            });
+        analyzer
+            .run(&desc(), config, &RunSpec::plain(), &mut obs, None)
             .expect("streaming run");
         assert_eq!(*seen.borrow(), obs.lines());
     }

@@ -20,10 +20,13 @@
 //! * a final implicit flush returns all results to the host — the paper's
 //!   "one device-to-host data transfer after the last kernel finishes".
 //!
+//! [`simulate_spec`] stacks the layers below on that model, as the run's
+//! [`RunMode`](crate::RunMode) declares; each layer disabled is
+//! byte-identical to the layer beneath it.
+//!
 //! # Resilient execution
 //!
-//! [`simulate_faulty`] runs the same model under a seeded
-//! [`FaultSchedule`]:
+//! A faulty run executes the same model under a seeded [`FaultSchedule`]:
 //!
 //! * **throttle ramps** multiply an attempt's execution time;
 //! * **transfer faults** re-issue the transfer at full wire cost;
@@ -46,13 +49,13 @@
 //!
 //! # Gray-failure resilience
 //!
-//! [`simulate_resilient`] layers the [`crate::health`] subsystem on top:
-//! a straggler *watchdog* that hedges slow attempts onto the best other
+//! A resilient run layers the [`crate::health`] subsystem on top: a
+//! straggler *watchdog* that hedges slow attempts onto the best other
 //! device (first finisher wins), *duplicate-check* verification that
 //! catches silently corrupted epochs at their barrier and rolls them back
 //! to the checkpoint, and a per-device *circuit breaker* fed by an EWMA
 //! health score. With [`HealthConfig::disabled`] the resilient executor is
-//! exactly [`simulate_faulty`], byte for byte. Because attempt durations
+//! exactly the faulty one, byte for byte. Because attempt durations
 //! are sampled at dispatch, the watchdog is *prescient*: the fire event is
 //! armed up front exactly when the attempt will still be running at its
 //! deadline — semantically identical to a wall-clock watchdog. Two
@@ -63,31 +66,42 @@
 //!
 //! # Adaptive repartitioning
 //!
-//! [`simulate_adaptive`] layers the [`crate::adapt`] controller on top:
-//! at each taskwait barrier the per-device busy-time skew of the closing
-//! epoch is measured, a sustained imbalance re-solves the plan's Glinda
+//! An adaptive run layers the [`crate::adapt`] controller on top: at each
+//! taskwait barrier the per-device busy-time skew of the closing epoch is
+//! measured, a sustained imbalance re-solves the plan's Glinda
 //! partition against the *observed* throughputs and re-pins the remaining
 //! epochs' chunks, and when re-solves are exhausted the static plan
 //! escalates to an internal DP-Perf scheduler seeded with the run's own
 //! observations. With [`AdaptConfig::disabled`] the adaptive executor is
-//! exactly [`simulate_resilient`], byte for byte. Skew accounting is
+//! exactly the resilient one, byte for byte. Skew accounting is
 //! dispatch-based (a hedge win still attributes to the primary's
 //! dispatch), and a dropout or epoch rollback clears the open epoch's
 //! observation window — the detector is a heuristic over committed work,
 //! not an audit trail.
+//!
+//! # Degraded-mode plan repair
+//!
+//! A repairing run adds [`ReplanConfig`] on top: when a device dies past
+//! its retry budget or the circuit breaker quarantines it, the
+//! executor re-solves every not-yet-checkpointed epoch over the surviving
+//! device set at observed rates and rebinds the queued chunks wave-aware,
+//! with migrations priced by the nominal link; when a breaker recloses, a
+//! symmetric *healing* re-plan readmits the device. Both run behind the
+//! controller's strict no-regression guard and are bounded by
+//! [`ReplanConfig::max_replans`]. With [`ReplanConfig::disabled`] the
+//! repairing executor is exactly the adaptive one, byte for byte.
 
 use crate::adapt::{AdaptConfig, AdaptPlan, AdaptReport, ReplanConfig, ReplanError};
 use crate::coherence::CoherenceDir;
 use crate::graph::TaskGraph;
 use crate::health::{BreakerState, HealthConfig, HealthReport, QuarantineSpan, VerificationPolicy};
 use crate::journal::{EpochRecord, JournalError, JournalSink, RngCursors};
-use crate::obs::{
-    route_event, DeviceBreakdown, NullObserver, Observer, TimeBreakdown, TraceObserver,
-};
+use crate::obs::{route_event, DeviceBreakdown, NullObserver, Observer, TimeBreakdown};
 use crate::program::{KernelId, Program, TaskDesc, TaskId};
 use crate::scheduler::{BindCtx, PerfScheduler, RateObservation, Scheduler};
+use crate::spec::{RunMode, RunSpec};
 use crate::stats::{KernelStats, RunReport};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::TraceEvent;
 use glinda::{MultiDeviceProblem, MultiSolution};
 use hetero_platform::{
     DeviceId, EventQueue, FaultCounters, FaultEvent, FaultRng, FaultSchedule, MemSpaceId, Platform,
@@ -185,349 +199,49 @@ pub fn simulate_observed(
     obs: &mut dyn Observer,
 ) -> RunReport {
     Sim::new(
-        program, platform, scheduler, obs, None, None, None, None, None,
-    )
-    .run()
-}
-
-/// [`simulate`], additionally recording an execution [`Trace`].
-pub fn simulate_traced(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-) -> (RunReport, Trace) {
-    let mut obs = TraceObserver::new();
-    let report = simulate_observed(program, platform, scheduler, &mut obs);
-    (report, obs.into_trace())
-}
-
-/// [`simulate`] under a seeded [`FaultSchedule`]: injects the scheduled
-/// faults and executes resiliently under `policy` (see the module docs).
-/// Identical schedules (same seed, same events) replay identical runs.
-pub fn simulate_faulty(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-) -> RunReport {
-    simulate_faulty_observed(
         program,
         platform,
         scheduler,
-        schedule,
-        policy,
-        &mut NullObserver,
-    )
-}
-
-/// [`simulate_faulty`] with a pluggable [`Observer`] (see [`crate::obs`]).
-pub fn simulate_faulty_observed(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    obs: &mut dyn Observer,
-) -> RunReport {
-    Sim::new(
-        program,
-        platform,
-        scheduler,
+        &RunSpec::plain(),
+        None,
         obs,
-        Some((schedule, policy)),
-        None,
-        None,
-        None,
         None,
     )
     .run()
 }
 
-/// [`simulate_faulty`], additionally recording an execution [`Trace`] with
-/// the fault events ([`TraceEvent::TaskFault`], [`TraceEvent::Failover`],
-/// ...).
-pub fn simulate_faulty_traced(
+/// The executor entry point: run `program` under the layers `spec`
+/// declares (see [`RunSpec`] and the module docs).
+///
+/// * `plan` carries the static partitioning decision behind the program,
+///   when there is one, so the adaptation controller can re-solve it;
+///   programs without a static split pass `None` and can still escalate.
+/// * `obs` receives every executor event; observers never steer the run.
+/// * `journal`, when attached, commits one [`EpochRecord`] per epoch
+///   flush and must have been opened with [`JournalSink::begin`]. A
+///   journaled run is byte-identical to its unjournaled twin: the sink
+///   observes commits, it never steers.
+///
+/// Returns [`JournalError::Killed`] when the sink's
+/// [`hetero_platform::KillSchedule`] fires (the journal text written so
+/// far is valid and resumable), [`JournalError::DivergentReplay`] when a
+/// resumed run fails the byte-exact redo-replay validation, and
+/// [`JournalError::HeaderMismatch`] when a faulty mode carries no
+/// schedule. An unjournaled run with its schedule never fails. Identical
+/// specs (same seed, same events) replay identical runs.
+pub fn simulate_spec(
     program: &Program,
     platform: &Platform,
     scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-) -> (RunReport, Trace) {
-    let mut obs = TraceObserver::new();
-    let report = simulate_faulty_observed(program, platform, scheduler, schedule, policy, &mut obs);
-    (report, obs.into_trace())
-}
-
-/// [`simulate_faulty`] with the gray-failure resilience subsystem
-/// configured by `health` (see [`crate::health`]): the straggler watchdog
-/// with hedged duplicates, duplicate-check SDC verification with epoch
-/// rollback, and the device-health circuit breaker. With
-/// [`HealthConfig::disabled`] this is exactly [`simulate_faulty`].
-pub fn simulate_resilient(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-) -> RunReport {
-    simulate_resilient_observed(
-        program,
-        platform,
-        scheduler,
-        schedule,
-        policy,
-        health,
-        &mut NullObserver,
-    )
-}
-
-/// [`simulate_resilient`] with a pluggable [`Observer`] (see
-/// [`crate::obs`]).
-pub fn simulate_resilient_observed(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    obs: &mut dyn Observer,
-) -> RunReport {
-    Sim::new(
-        program,
-        platform,
-        scheduler,
-        obs,
-        Some((schedule, policy)),
-        Some(*health),
-        None,
-        None,
-        None,
-    )
-    .run()
-}
-
-/// [`simulate_resilient`], additionally recording an execution [`Trace`]
-/// with the gray-failure events ([`TraceEvent::HedgeLaunched`],
-/// [`TraceEvent::CorruptionDetected`], [`TraceEvent::CircuitOpen`], ...).
-pub fn simulate_resilient_traced(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-) -> (RunReport, Trace) {
-    let mut obs = TraceObserver::new();
-    let report = simulate_resilient_observed(
-        program, platform, scheduler, schedule, policy, health, &mut obs,
-    );
-    (report, obs.into_trace())
-}
-
-/// [`simulate_resilient`] with the adaptive repartitioning controller
-/// configured by `adapt` (see [`crate::adapt`]): per-epoch imbalance
-/// detection, Glinda re-solving against observed throughputs, and
-/// static → dynamic strategy escalation. `plan` carries the static
-/// partitioning decision behind the program (when there is one) so the
-/// controller can re-solve it; programs without a static split pass
-/// `None` and can still escalate. With [`AdaptConfig::disabled`] this is
-/// exactly [`simulate_resilient`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_adaptive(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-    plan: Option<AdaptPlan>,
-) -> RunReport {
-    simulate_adaptive_observed(
-        program,
-        platform,
-        scheduler,
-        schedule,
-        policy,
-        health,
-        adapt,
-        plan,
-        &mut NullObserver,
-    )
-}
-
-/// [`simulate_adaptive`] with a pluggable [`Observer`] (see
-/// [`crate::obs`]).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_adaptive_observed(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
+    spec: &RunSpec,
     plan: Option<AdaptPlan>,
     obs: &mut dyn Observer,
-) -> RunReport {
-    Sim::new(
-        program,
-        platform,
-        scheduler,
-        obs,
-        Some((schedule, policy)),
-        Some(*health),
-        Some((*adapt, plan)),
-        None,
-        None,
-    )
-    .run()
-}
-
-/// [`simulate_adaptive`], additionally recording an execution [`Trace`]
-/// with the adaptation events ([`TraceEvent::ImbalanceDetected`],
-/// [`TraceEvent::Repartitioned`], [`TraceEvent::StrategyEscalated`]).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_adaptive_traced(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-    plan: Option<AdaptPlan>,
-) -> (RunReport, Trace) {
-    let mut obs = TraceObserver::new();
-    let report = simulate_adaptive_observed(
-        program, platform, scheduler, schedule, policy, health, adapt, plan, &mut obs,
-    );
-    (report, obs.into_trace())
-}
-
-/// [`simulate_adaptive`] with the degraded-mode plan-repair subsystem
-/// configured by `replan` (see [`ReplanConfig`]): when a device dies past
-/// its retry budget or the circuit breaker quarantines it, the executor
-/// re-solves every not-yet-checkpointed epoch over the surviving device
-/// set at observed rates and rebinds the queued chunks wave-aware, with
-/// migrations priced by the nominal link; when a breaker recloses, a
-/// symmetric *healing* re-plan readmits the device. Both run behind the
-/// controller's strict no-regression guard and are bounded by
-/// [`ReplanConfig::max_replans`]. With [`ReplanConfig::disabled`] this is
-/// exactly [`simulate_adaptive`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_repairing(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-    plan: Option<AdaptPlan>,
-    replan: &ReplanConfig,
-) -> RunReport {
-    simulate_repairing_observed(
-        program,
-        platform,
-        scheduler,
-        schedule,
-        policy,
-        health,
-        adapt,
-        plan,
-        replan,
-        &mut NullObserver,
-    )
-}
-
-/// [`simulate_repairing`] with a pluggable [`Observer`] (see
-/// [`crate::obs`]).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_repairing_observed(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-    plan: Option<AdaptPlan>,
-    replan: &ReplanConfig,
-    obs: &mut dyn Observer,
-) -> RunReport {
-    Sim::new(
-        program,
-        platform,
-        scheduler,
-        obs,
-        Some((schedule, policy)),
-        Some(*health),
-        Some((*adapt, plan)),
-        Some(*replan),
-        None,
-    )
-    .run()
-}
-
-/// [`simulate_repairing`], additionally recording an execution [`Trace`]
-/// with the repair events ([`TraceEvent::PlanRepaired`],
-/// [`TraceEvent::DeviceReadmitted`]).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_repairing_traced(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-    plan: Option<AdaptPlan>,
-    replan: &ReplanConfig,
-) -> (RunReport, Trace) {
-    let mut obs = TraceObserver::new();
-    let report = simulate_repairing_observed(
-        program, platform, scheduler, schedule, policy, health, adapt, plan, replan, &mut obs,
-    );
-    (report, obs.into_trace())
-}
-
-/// The journaled executor entry: any of the five simulate paths (pass
-/// `None` for the layers the run does not use, exactly as the un-journaled
-/// wrappers do), with a [`JournalSink`] committing one [`EpochRecord`] per
-/// epoch flush. The sink must have been opened with
-/// [`JournalSink::begin`]. Returns [`JournalError::Killed`] when the
-/// sink's [`hetero_platform::KillSchedule`] fires (the journal text
-/// written so far is valid and resumable), and
-/// [`JournalError::DivergentReplay`] when a resumed run fails the
-/// byte-exact redo-replay validation. A journaled run is byte-identical
-/// to its un-journaled twin: the sink observes commits, it never steers.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_journaled_observed(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    faults: Option<(&FaultSchedule, RetryPolicy)>,
-    health: Option<HealthConfig>,
-    adapt: Option<(AdaptConfig, Option<AdaptPlan>)>,
-    replan: Option<ReplanConfig>,
-    journal: &mut JournalSink,
-    obs: &mut dyn Observer,
+    journal: Option<&mut JournalSink>,
 ) -> Result<RunReport, JournalError> {
-    Sim::new(
-        program,
-        platform,
-        scheduler,
-        obs,
-        faults,
-        health,
-        adapt,
-        replan,
-        Some(journal),
-    )
-    .run_result()
+    if spec.mode != RunMode::Plain {
+        spec.require_schedule()?;
+    }
+    Sim::new(program, platform, scheduler, spec, plan, obs, journal).run_result()
 }
 
 /// Mutable fault-injection state, present only on the faulty path.
@@ -713,7 +427,7 @@ struct AdaptCtx {
 }
 
 /// Mutable plan-repair state, present only when an enabled
-/// [`ReplanConfig`] was supplied (see [`simulate_repairing`]).
+/// [`ReplanConfig`] was supplied (see the module docs).
 struct ReplanCtx {
     config: ReplanConfig,
     /// Tie-break stream, independent of the fault/health/adapt streams.
@@ -833,16 +547,15 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    #[allow(clippy::too_many_arguments)]
+    /// A run of `program` under the layers `spec` declares. Each layer's
+    /// config is validated, and a disabled layer allocates no state.
     fn new(
         program: &'a Program,
         platform: &'a Platform,
         scheduler: &'a mut dyn Scheduler,
+        spec: &'a RunSpec,
+        plan: Option<AdaptPlan>,
         obs: &'a mut dyn Observer,
-        faults: Option<(&'a FaultSchedule, RetryPolicy)>,
-        health: Option<HealthConfig>,
-        adapt: Option<(AdaptConfig, Option<AdaptPlan>)>,
-        replan: Option<ReplanConfig>,
         journal: Option<&'a mut JournalSink>,
     ) -> Self {
         let graph = TaskGraph::build(program);
@@ -858,7 +571,7 @@ impl<'a> Sim<'a> {
                 tasks_per_device: vec![0; platform.devices.len()],
             })
             .collect();
-        let faults = faults.map(|(schedule, policy)| {
+        let faults = spec.fault_layer().map(|(schedule, policy)| {
             schedule
                 .validate()
                 .unwrap_or_else(|e| panic!("invalid fault schedule: {e}"));
@@ -885,73 +598,64 @@ impl<'a> Sim<'a> {
             }
         });
         let ndev = platform.devices.len();
-        let health = health
-            .inspect(|config| {
-                config
-                    .validate()
-                    .unwrap_or_else(|e| panic!("invalid health config: {e}"));
-            })
-            .filter(HealthConfig::enabled)
-            .map(|config| HealthCtx {
-                config,
-                rng: FaultRng::new(
-                    faults.as_ref().map(|f| f.schedule.seed).unwrap_or(0) ^ HEALTH_STREAM,
-                ),
-                report: HealthReport {
-                    scores: vec![1.0; ndev],
-                    ..HealthReport::default()
-                },
-                consecutive_bad: vec![0; ndev],
-                state: vec![BreakerState::Closed; ndev],
-                probe_task: vec![None; ndev],
-                straggled: vec![false; n],
-                hedge: vec![None; n],
-                rollbacks_this_epoch: 0,
-            });
-        let adapt = adapt
-            .inspect(|(config, _)| {
-                config
-                    .validate()
-                    .unwrap_or_else(|e| panic!("invalid adapt config: {e}"));
-            })
-            .filter(|(config, _)| config.enabled())
-            .map(|(config, plan)| AdaptCtx {
-                config,
-                plan,
-                rng: FaultRng::new(
-                    faults.as_ref().map(|f| f.schedule.seed).unwrap_or(0) ^ ADAPT_STREAM,
-                ),
-                report: AdaptReport::default(),
-                epoch_busy: vec![SimTime::ZERO; ndev],
-                epoch_items: vec![0; ndev],
-                obs: BTreeMap::new(),
-                consecutive_imbalanced: 0,
-                resolves_since_balance: 0,
-                override_of: vec![None; n],
-                escalated: None,
-                bound_by_escalated: vec![false; n],
-                calm_barriers: 0,
-                last_barrier_at: SimTime::ZERO,
-            });
-        let replan = replan
-            .inspect(|config| {
-                config
-                    .validate()
-                    .unwrap_or_else(|e| panic!("invalid replan config: {e}"));
-            })
-            .filter(ReplanConfig::enabled)
-            .map(|config| ReplanCtx {
-                config,
-                rng: FaultRng::new(
-                    faults.as_ref().map(|f| f.schedule.seed).unwrap_or(0) ^ REPLAN_STREAM,
-                ),
-                replans: 0,
-                readmissions: 0,
-                error: None,
-                override_of: vec![None; n],
-                obs_items: vec![0.0; ndev],
-                obs_secs: vec![0.0; ndev],
-            });
+        let health = spec.health_layer();
+        health
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid health config: {e}"));
+        let health = health.enabled().then(|| HealthCtx {
+            config: health,
+            rng: FaultRng::new(
+                faults.as_ref().map(|f| f.schedule.seed).unwrap_or(0) ^ HEALTH_STREAM,
+            ),
+            report: HealthReport {
+                scores: vec![1.0; ndev],
+                ..HealthReport::default()
+            },
+            consecutive_bad: vec![0; ndev],
+            state: vec![BreakerState::Closed; ndev],
+            probe_task: vec![None; ndev],
+            straggled: vec![false; n],
+            hedge: vec![None; n],
+            rollbacks_this_epoch: 0,
+        });
+        let adapt = spec.adapt_layer();
+        adapt
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid adapt config: {e}"));
+        let adapt = adapt.enabled().then(|| AdaptCtx {
+            config: adapt,
+            plan,
+            rng: FaultRng::new(
+                faults.as_ref().map(|f| f.schedule.seed).unwrap_or(0) ^ ADAPT_STREAM,
+            ),
+            report: AdaptReport::default(),
+            epoch_busy: vec![SimTime::ZERO; ndev],
+            epoch_items: vec![0; ndev],
+            obs: BTreeMap::new(),
+            consecutive_imbalanced: 0,
+            resolves_since_balance: 0,
+            override_of: vec![None; n],
+            escalated: None,
+            bound_by_escalated: vec![false; n],
+            calm_barriers: 0,
+            last_barrier_at: SimTime::ZERO,
+        });
+        let replan = spec.replan_layer();
+        replan
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid replan config: {e}"));
+        let replan = replan.enabled().then(|| ReplanCtx {
+            config: replan,
+            rng: FaultRng::new(
+                faults.as_ref().map(|f| f.schedule.seed).unwrap_or(0) ^ REPLAN_STREAM,
+            ),
+            replans: 0,
+            readmissions: 0,
+            error: None,
+            override_of: vec![None; n],
+            obs_items: vec![0.0; ndev],
+            obs_secs: vec![0.0; ndev],
+        });
         Sim {
             remaining_preds: graph.preds.iter().map(Vec::len).collect(),
             graph,
@@ -3488,7 +3192,7 @@ impl<'a> Sim<'a> {
         (moves, moved_items)
     }
 
-    /// Degraded-mode plan repair (see [`simulate_repairing`]): re-solve
+    /// Degraded-mode plan repair (see the module docs): re-solve
     /// the not-yet-checkpointed epochs over the surviving device set and
     /// rebind the queued chunks. `heal` marks a healing re-plan after a
     /// breaker reclose (the readmitted `dev` is a survivor again);

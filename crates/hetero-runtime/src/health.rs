@@ -111,8 +111,8 @@ impl Default for BreakerConfig {
 }
 
 /// Configuration for the gray-failure resilience subsystem. The disabled
-/// configuration ([`HealthConfig::disabled`]) makes `simulate_resilient`
-/// take the exact event sequence of PR 1's `simulate_faulty`.
+/// configuration ([`HealthConfig::disabled`]) makes a resilient run take
+/// the exact event sequence of the faulty executor.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HealthConfig {
     /// Straggler watchdog (`None` = off).

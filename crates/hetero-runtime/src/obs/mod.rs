@@ -9,8 +9,8 @@
 //! * [`NullObserver`] — the default; reports `enabled() == false` so the hot
 //!   path skips event routing entirely and stays byte-identical to the
 //!   pre-observer executor.
-//! * [`TraceObserver`] — collects the full [`TraceEvent`] stream, powering
-//!   the `simulate_*_traced` entry points.
+//! * [`TraceObserver`] — collects the full [`TraceEvent`] stream into a
+//!   [`crate::Trace`] (timelines, Gantt charts, span trees).
 //! * [`MetricsObserver`] — feeds a [`MetricsRegistry`] of typed counters,
 //!   gauges and log-bucketed histograms labeled by device/kernel/strategy.
 //! * [`MultiObserver`] — fans one event stream out to several sinks.
@@ -184,9 +184,8 @@ impl Observer for NullObserver {
     }
 }
 
-/// Collects the full event stream into a [`Trace`]. This is what the
-/// `simulate_*_traced` entry points install; the resulting trace is
-/// identical to what the executor used to build by hand.
+/// Collects the full event stream into a [`Trace`]: install it on any run
+/// and take the trace with [`TraceObserver::into_trace`].
 #[derive(Clone, Debug, Default)]
 pub struct TraceObserver {
     trace: Trace,

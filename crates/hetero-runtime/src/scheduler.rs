@@ -22,7 +22,10 @@
 //! satisfied), mirroring the eager queueing of the OmpSs runtime; bound
 //! instances wait in per-device FIFO queues for a free slot.
 
-use crate::program::{KernelId, TaskDesc, TaskId};
+use crate::executor::simulate_spec;
+use crate::obs::NullObserver;
+use crate::program::{KernelId, Program, TaskDesc, TaskId};
+use crate::spec::RunSpec;
 use hetero_platform::{DeviceId, Platform, SimTime};
 use std::collections::BTreeMap;
 
@@ -304,6 +307,30 @@ impl PerfScheduler {
         let mut s = Self::with_warmup(platform, 0);
         s.rates = rates;
         s
+    }
+
+    /// DP-Perf ready to measure `program` under `spec`, with the paper's
+    /// profiling phase excluded: a fresh scheduler's warm-up run learns the
+    /// rates, and the returned scheduler starts from them. The warm-up runs
+    /// under the spec's schedule in its replayable form, with the run's
+    /// health config and no adaptation or repair, unobserved and
+    /// unjournaled. It is a pure function of the spec, so a resumed run
+    /// regenerates it, and under faults the learned rates reflect the
+    /// platform *as it misbehaves* — which is what lets DP-Perf steer
+    /// around a throttled or flaky device.
+    pub fn warmed(program: &Program, platform: &Platform, spec: &RunSpec) -> Self {
+        let mut warm = Self::new(platform);
+        let warmup = spec.warmup();
+        let _ = simulate_spec(
+            program,
+            platform,
+            &mut warm,
+            &warmup,
+            None,
+            &mut NullObserver,
+            None,
+        );
+        Self::seeded(platform, warm.rates)
     }
 
     /// The learned rate table (to seed a measured run).

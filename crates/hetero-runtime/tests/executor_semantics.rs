@@ -334,7 +334,9 @@ fn traced_run_matches_untraced_report() {
     };
     let (traced, trace) = {
         let mut s = hetero_runtime::DepScheduler::new(&platform);
-        hetero_runtime::simulate_traced(&p, &platform, &mut s)
+        let mut obs = hetero_runtime::TraceObserver::new();
+        let report = hetero_runtime::simulate_observed(&p, &platform, &mut s, &mut obs);
+        (report, obs.into_trace())
     };
     assert_eq!(plain.makespan, traced.makespan);
     assert_eq!(plain.counters, traced.counters);

@@ -23,7 +23,7 @@
 //! ```
 
 use hetero_match::apps::{blackscholes, synth};
-use hetero_match::matchmaker::{Analyzer, ExecutionConfig, ExecutionFlow, Strategy};
+use hetero_match::matchmaker::{Analyzer, ExecutionConfig, ExecutionFlow, RunSpec, Strategy};
 use hetero_match::platform::{DeviceId, FaultSchedule, FaultTrace, Platform, RetryPolicy, SimTime};
 use hetero_match::runtime::{AdaptConfig, HealthConfig, TraceEvent, TraceObserver};
 
@@ -96,10 +96,10 @@ fn main() {
     // the GPU now pays 10× wire time, and the degradation ranking flips
     // away from the GPU-leaning winner.
     let bs = blackscholes::descriptor(1 << 21);
-    let healthy_rank = analyzer.rank_by_degradation(&bs, &FaultSchedule::new(3), policy);
+    let healthy_rank = analyzer.rank_by_degradation(&bs, &RunSpec::faulty(FaultSchedule::new(3)));
     let degraded =
         FaultSchedule::new(3).with_link_degrade(gpu, 0.10, 1.0, SimTime::ZERO, SimTime::MAX);
-    let degraded_rank = analyzer.rank_by_degradation(&bs, &degraded, policy);
+    let degraded_rank = analyzer.rank_by_degradation(&bs, &RunSpec::faulty(degraded));
     println!("\n2. BlackScholes, host<->GPU link at 10% bandwidth all run:");
     println!(
         "   {:<12} {:>12} {:>12} {:>8}",
@@ -185,7 +185,14 @@ fn main() {
         analyzer2.simulate_adaptive(&desc2, sp, &stale, policy, &health, &stay_dynamic);
     let mut tobs = TraceObserver::new();
     let deescalated = analyzer2
-        .simulate_adaptive_observed(&desc2, sp, &stale, policy, &health, &reinstate, &mut tobs);
+        .run(
+            &desc2,
+            sp,
+            &RunSpec::adaptive(stale, health, reinstate),
+            &mut tobs,
+            None,
+        )
+        .expect("an unjournaled run cannot fail");
     let escalated_at = deescalated.adapt.escalated_at_epoch.expect("must escalate");
     let reinstated_at = deescalated
         .adapt

@@ -13,7 +13,9 @@
 use hetero_match::apps::synth;
 use hetero_match::matchmaker::{ExecutionConfig, KernelSplit, Planner, Strategy};
 use hetero_match::platform::Platform;
-use hetero_match::runtime::{simulate, simulate_traced, PinnedScheduler, DEFAULT_GANTT_WIDTH};
+use hetero_match::runtime::{
+    simulate, simulate_observed, PinnedScheduler, TraceObserver, DEFAULT_GANTT_WIDTH,
+};
 
 fn main() {
     let platform = Platform::icpp15_with_phi();
@@ -65,7 +67,8 @@ fn main() {
 
     println!();
     println!("{:<26} {:>12}", "configuration", "time");
-    let (report, trace) = simulate_traced(&plan.program, &platform, &mut PinnedScheduler);
+    let mut trace = TraceObserver::new();
+    let report = simulate_observed(&plan.program, &platform, &mut PinnedScheduler, &mut trace);
     println!(
         "{:<26} {:>12}",
         "CPU + K20m + Phi (3-way)",
@@ -92,5 +95,5 @@ fn main() {
 
     println!();
     println!("three-way timeline:");
-    print!("{}", trace.gantt(&platform, DEFAULT_GANTT_WIDTH));
+    print!("{}", trace.trace().gantt(&platform, DEFAULT_GANTT_WIDTH));
 }

@@ -11,11 +11,8 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use hetero_match::matchmaker::{Analyzer, ExecutionConfig, Planner, Strategy};
+use hetero_match::matchmaker::{Analyzer, ExecutionConfig, RunSpec, Strategy};
 use hetero_match::platform::{DeviceId, FaultSchedule, Platform, RetryPolicy, SimTime};
-use hetero_match::runtime::{
-    simulate, simulate_dp_perf_warmed_faulty, simulate_faulty, PinnedScheduler,
-};
 
 fn main() {
     let platform = Platform::icpp15();
@@ -27,24 +24,16 @@ fn main() {
         hetero_match::matchmaker::ExecutionFlow::Sequence,
         false,
     );
-    let planner = Planner::new(&platform);
+    let analyzer = Analyzer::new(&platform);
     let policy = RetryPolicy::default();
 
     // --- 1. SP-Single survives a GPU dropout at 50% progress -------------
-    let static_prog = planner
-        .plan(&app, ExecutionConfig::Strategy(Strategy::SpSingle))
-        .program;
-    let healthy = simulate(&static_prog, &platform, &mut PinnedScheduler);
+    let sp_single = ExecutionConfig::Strategy(Strategy::SpSingle);
+    let healthy = analyzer.simulate(&app, sp_single);
     let at = SimTime::from_secs_f64(healthy.makespan.as_secs_f64() / 2.0);
     let schedule = FaultSchedule::new(2026).with_dropout(DeviceId(1), at);
 
-    let failed_over = simulate_faulty(
-        &static_prog,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        policy,
-    );
+    let failed_over = analyzer.simulate_faulty(&app, sp_single, &schedule, policy);
     let done: u64 = failed_over.counters.devices.iter().map(|c| c.items).sum();
     println!("SP-Single, GPU dropout at {at}:");
     println!("  healthy makespan   : {}", healthy.makespan);
@@ -63,10 +52,10 @@ fn main() {
     assert_eq!(done, n, "every item still processed exactly once");
 
     // --- 2. DP-Perf reroutes and beats the failed-over static plan -------
-    let dynamic_prog = planner
-        .plan(&app, ExecutionConfig::Strategy(Strategy::DpPerf))
-        .program;
-    let adaptive = simulate_dp_perf_warmed_faulty(&dynamic_prog, &platform, &schedule, policy);
+    // DP-Perf's profiling warm-up runs under the same faults, so the
+    // learned rates already see the dying GPU.
+    let dp_perf = ExecutionConfig::Strategy(Strategy::DpPerf);
+    let adaptive = analyzer.simulate_faulty(&app, dp_perf, &schedule, policy);
     println!("\nDP-Perf under the same dropout:");
     println!("  makespan           : {}", adaptive.makespan);
     println!(
@@ -79,21 +68,14 @@ fn main() {
     );
 
     // --- 3. Seeded faults replay byte-for-byte ---------------------------
-    let replay = simulate_faulty(
-        &static_prog,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        policy,
-    );
+    let replay = analyzer.simulate_faulty(&app, sp_single, &schedule, policy);
     assert_eq!(replay.makespan, failed_over.makespan);
     assert_eq!(replay.faults, failed_over.faults);
     println!("\nreplay with the same seed: identical makespan and fault counters ✓");
 
     // --- 4. The matchmaker's robustness ranking --------------------------
-    let analyzer = Analyzer::new(&platform);
     println!("\nrobustness ranking under this schedule (degradation = faulty/healthy):");
-    for e in analyzer.rank_by_degradation(&app, &schedule, policy) {
+    for e in analyzer.rank_by_degradation(&app, &RunSpec::faulty(schedule)) {
         println!(
             "  {:<16} {:>7.2}x   (healthy {}, faulty {}, resilience overhead {})",
             e.config.to_string(),

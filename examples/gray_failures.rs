@@ -18,12 +18,26 @@
 //! ```
 
 use hetero_match::platform::{
-    DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, RetryPolicy, SimTime,
+    DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, SimTime,
 };
 use hetero_match::runtime::{
-    simulate, simulate_faulty, simulate_resilient, Access, BreakerConfig, HealthConfig,
-    PinnedScheduler, Program, Region, VerificationPolicy, WatchdogConfig,
+    simulate, simulate_spec, Access, BreakerConfig, HealthConfig, NullObserver, PinnedScheduler,
+    Program, Region, RunReport, RunSpec, VerificationPolicy, WatchdogConfig,
 };
+
+/// Run a pinned `program` with the layers `spec` declares.
+fn run_pinned(program: &Program, platform: &Platform, spec: &RunSpec) -> RunReport {
+    simulate_spec(
+        program,
+        platform,
+        &mut PinnedScheduler,
+        spec,
+        None,
+        &mut NullObserver,
+        None,
+    )
+    .expect("an unjournaled run cannot fail")
+}
 
 /// A compute-bound kernel whose effective rate is identical on
 /// `Platform::test_small`'s GPU and on one of its CPU slots (25 Gflop/s
@@ -67,7 +81,6 @@ fn gpu_chain(per_task: u64, tasks: u64, flops_per_item: f64) -> Program {
 
 fn main() {
     let platform = Platform::test_small();
-    let policy = RetryPolicy::default();
 
     // --- 1. Straggler: watchdog + hedging --------------------------------
     // Four serialized GPU tasks; the GPU throttles 4x from mid-run onward.
@@ -80,13 +93,7 @@ fn main() {
     let straggler =
         FaultSchedule::new(2026).with_throttle(DeviceId(1), mid, SimTime::MAX, 4.0, 4.0);
 
-    let fail_stop = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &straggler,
-        policy,
-    );
+    let fail_stop = run_pinned(&program, &platform, &RunSpec::faulty(straggler.clone()));
     let hedging = HealthConfig {
         watchdog: Some(WatchdogConfig {
             slack: 1.5,
@@ -94,14 +101,8 @@ fn main() {
         }),
         ..HealthConfig::disabled()
     };
-    let hedged = simulate_resilient(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &straggler,
-        policy,
-        &hedging,
-    );
+    let straggler = RunSpec::resilient(straggler, hedging);
+    let hedged = run_pinned(&program, &platform, &straggler);
     println!("1. straggler: GPU throttles 4x at {mid}");
     println!("   healthy makespan     : {}", healthy.makespan);
     println!("   fail-stop (blind)    : {}", fail_stop.makespan);
@@ -143,19 +144,12 @@ fn main() {
     let sdc =
         FaultSchedule::new(7).with_silent_corruption(DeviceId(1), 1.0, SimTime::ZERO, SimTime::MAX);
 
-    let silent = simulate_faulty(&two_epochs, &platform, &mut PinnedScheduler, &sdc, policy);
+    let silent = run_pinned(&two_epochs, &platform, &RunSpec::faulty(sdc.clone()));
     let checking = HealthConfig {
         verification: VerificationPolicy::DupCheck { sample_rate: 1.0 },
         ..HealthConfig::disabled()
     };
-    let checked = simulate_resilient(
-        &two_epochs,
-        &platform,
-        &mut PinnedScheduler,
-        &sdc,
-        policy,
-        &checking,
-    );
+    let checked = run_pinned(&two_epochs, &platform, &RunSpec::resilient(sdc, checking));
     println!("\n2. silent corruption on every GPU task:");
     println!(
         "   unverified           : {} corrupt result(s) committed, 0 detected",
@@ -217,14 +211,7 @@ fn main() {
         }),
         ..HealthConfig::disabled()
     };
-    let guarded = simulate_resilient(
-        &flaky_prog,
-        &platform,
-        &mut PinnedScheduler,
-        &flaky,
-        policy,
-        &breaker,
-    );
+    let guarded = run_pinned(&flaky_prog, &platform, &RunSpec::resilient(flaky, breaker));
     println!("\n3. flaky GPU (every attempt fails for 1ms):");
     println!(
         "   breaker              : {} open(s), {} probe(s), {} close(s)",
@@ -253,14 +240,7 @@ fn main() {
     assert_eq!(guarded.health.circuit_closes, 1);
 
     // --- 4. Seeded gray failures replay byte-for-byte --------------------
-    let replay = simulate_resilient(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &straggler,
-        policy,
-        &hedging,
-    );
+    let replay = run_pinned(&program, &platform, &straggler);
     assert_eq!(replay.makespan, hedged.makespan);
     assert_eq!(replay.health, hedged.health);
     println!("\nreplay with the same seed: identical makespan and health report ✓");

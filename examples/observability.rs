@@ -12,10 +12,10 @@
 //! ```
 
 use hetero_match::matchmaker::{ExecutionConfig, ExecutionFlow, Planner, Strategy};
-use hetero_match::platform::{DeviceId, FaultSchedule, MemSpaceId, Platform, RetryPolicy, SimTime};
+use hetero_match::platform::{DeviceId, FaultSchedule, MemSpaceId, Platform, SimTime};
 use hetero_match::runtime::{
-    simulate_faulty_observed, simulate_observed, CriticalPath, MetricsObserver, MultiObserver,
-    Observer, PinnedScheduler, RunReport, TraceEvent, TraceObserver,
+    simulate_observed, simulate_spec, CriticalPath, MetricsObserver, MultiObserver, Observer,
+    PinnedScheduler, RunReport, RunSpec, TraceEvent, TraceObserver,
 };
 
 /// A user-defined observer: tallies the event stream without touching the
@@ -137,14 +137,16 @@ fn main() {
     let at = SimTime::from_secs_f64(report.makespan.as_secs_f64() / 2.0);
     let schedule = FaultSchedule::new(2026).with_dropout(DeviceId(1), at);
     let mut faulty_metrics = MetricsObserver::new(&platform, "SP-Single/dropout");
-    let faulty = simulate_faulty_observed(
+    let faulty = simulate_spec(
         &program,
         &platform,
         &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
+        &RunSpec::faulty(schedule),
+        None,
         &mut faulty_metrics,
-    );
+        None,
+    )
+    .expect("an unjournaled run cannot fail");
     println!("\nGPU dropout at {at}: makespan {}", faulty.makespan);
     println!("blame (slot time per device):");
     print!("{}", faulty.breakdown.render(&names));

@@ -26,14 +26,14 @@
 
 use hetero_match::apps::blackscholes;
 use hetero_match::matchmaker::{
-    Analyzer, ExecutionConfig, Planner, ReplanConfig, ReplanError, Strategy,
+    Analyzer, ExecutionConfig, Planner, ReplanConfig, ReplanError, RunSpec, Strategy,
 };
 use hetero_match::platform::{
     DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, RetryPolicy, SimTime,
 };
 use hetero_match::runtime::{
-    simulate_repairing_traced, simulate_resilient, Access, AdaptConfig, BreakerConfig,
-    HealthConfig, PinnedScheduler, Program, Region, TraceEvent, TraceObserver,
+    simulate_spec, Access, AdaptConfig, BreakerConfig, HealthConfig, NullObserver, PinnedScheduler,
+    Program, Region, TraceEvent, TraceObserver,
 };
 
 /// A compute-only kernel running at full efficiency everywhere: 400 Gflop/s
@@ -79,19 +79,20 @@ fn main() {
     let schedule = FaultSchedule::new(11).with_dropout(DeviceId(1), death);
 
     let naive = analyzer.simulate_resilient(&desc, config, &schedule, policy, &health);
+    let repair = RunSpec::repairing(
+        schedule.clone(),
+        health,
+        AdaptConfig::disabled(),
+        ReplanConfig::enabled_default(),
+    );
     let mut tracer = TraceObserver::new();
     let repaired = analyzer
-        .simulate_repairing_observed(
-            &desc,
-            config,
-            &schedule,
-            policy,
-            &health,
-            &AdaptConfig::disabled(),
-            &ReplanConfig::enabled_default(),
-            &mut tracer,
-        )
-        .expect("the host and the coprocessor survive");
+        .run(&desc, config, &repair, &mut tracer, None)
+        .expect("an unjournaled run cannot fail");
+    assert!(
+        repaired.adapt.replan_error.is_none(),
+        "the host and the coprocessor survive"
+    );
 
     println!("1. BlackScholes (SP-Single), K20m dies permanently at {death}:");
     println!("   healthy              : {}", healthy.makespan);
@@ -180,25 +181,34 @@ fn main() {
         }),
         ..HealthConfig::disabled()
     };
-    let stranded = simulate_resilient(
+    let stranded = simulate_spec(
         &program,
         &platform2,
         &mut PinnedScheduler,
-        &flaky,
-        policy,
-        &breaker,
-    );
-    let (healed, trace) = simulate_repairing_traced(
-        &program,
-        &platform2,
-        &mut PinnedScheduler,
-        &flaky,
-        policy,
-        &breaker,
-        &AdaptConfig::disabled(),
+        &RunSpec::resilient(flaky.clone(), breaker),
         None,
-        &ReplanConfig::enabled_default(),
+        &mut NullObserver,
+        None,
+    )
+    .expect("an unjournaled run cannot fail");
+    let heal = RunSpec::repairing(
+        flaky,
+        breaker,
+        AdaptConfig::disabled(),
+        ReplanConfig::enabled_default(),
     );
+    let mut trace = TraceObserver::new();
+    let healed = simulate_spec(
+        &program,
+        &platform2,
+        &mut PinnedScheduler,
+        &heal,
+        None,
+        &mut trace,
+        None,
+    )
+    .expect("an unjournaled run cannot fail");
+    let trace = trace.into_trace();
     println!("\n2. flaky GPU quarantined, then readmitted on reclose:");
     println!(
         "   breaker              : {} open(s), {} probe(s), {} close(s)",

@@ -12,9 +12,13 @@
 //! ```
 
 use hetero_match::apps::synth;
-use hetero_match::matchmaker::{Analyzer, ExecutionConfig, ExecutionFlow, RunSpec, Strategy};
+use hetero_match::matchmaker::{
+    Analyzer, ExecutionConfig, ExecutionFlow, RunSpec, Strategy, STREAM_STRATEGY_LABEL,
+};
 use hetero_match::platform::{DeviceId, FaultSchedule, Platform, SimTime};
-use hetero_match::runtime::{fold_stream, AdaptConfig, EpochSnapshot, HealthConfig, RunDiff};
+use hetero_match::runtime::{
+    fold_stream, AdaptConfig, EpochSnapshot, HealthConfig, RunDiff, SnapshotObserver,
+};
 
 fn main() {
     let platform = Platform::icpp15_with_phi();
@@ -45,8 +49,8 @@ fn main() {
         HealthConfig::monitored(),
         AdaptConfig::enabled_default(),
     );
-    let (faulty_report, faulty_obs) = analyzer
-        .simulate_streaming(&desc, config, &spec, |line| {
+    let mut faulty_obs =
+        SnapshotObserver::new(&platform, STREAM_STRATEGY_LABEL).with_sink(|line| {
             let snap: EpochSnapshot = serde_json::from_str(line).expect("snapshot line parses");
             let epoch = match snap.epoch {
                 Some(e) => format!("epoch {e}"),
@@ -62,7 +66,9 @@ fn main() {
                 snap.changed.len(),
                 snap.open.dead,
             );
-        })
+        });
+    let faulty_report = analyzer
+        .run(&desc, config, &spec, &mut faulty_obs, None)
         .expect("faulty adaptive run");
     println!();
     println!(

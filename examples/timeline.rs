@@ -8,9 +8,22 @@
 //! ```
 
 use hetero_match::apps::{blackscholes, stream};
-use hetero_match::matchmaker::{Analyzer, ExecutionConfig, Strategy};
+use hetero_match::matchmaker::{Analyzer, AppDescriptor, ExecutionConfig, RunSpec, Strategy};
 use hetero_match::platform::Platform;
-use hetero_match::runtime::{simulate_traced, PinnedScheduler, DEFAULT_GANTT_WIDTH};
+use hetero_match::runtime::{RunReport, Trace, TraceObserver, DEFAULT_GANTT_WIDTH};
+
+/// Run `config` fault-free with a trace recorder installed.
+fn traced(
+    analyzer: &Analyzer,
+    desc: &AppDescriptor,
+    config: ExecutionConfig,
+) -> (RunReport, Trace) {
+    let mut obs = TraceObserver::new();
+    let report = analyzer
+        .run(desc, config, &RunSpec::plain(), &mut obs, None)
+        .expect("a plain run cannot fail");
+    (report, obs.into_trace())
+}
 
 fn main() {
     let platform = Platform::icpp15();
@@ -26,19 +39,18 @@ fn main() {
         ("Only-GPU", ExecutionConfig::OnlyGpu),
         ("Only-CPU", ExecutionConfig::OnlyCpu),
     ] {
-        let plan = analyzer.plan(&blackscholes::paper_descriptor(), config);
-        let (report, trace) = simulate_traced(&plan.program, &platform, &mut PinnedScheduler);
+        let (report, trace) = traced(&analyzer, &blackscholes::paper_descriptor(), config);
         println!("-- {label}: {} --", report.makespan);
         print!("{}", trace.gantt(&platform, width));
         println!();
     }
 
     println!("STREAM-Seq with inter-kernel sync — SP-Varied (matched strategy)\n");
-    let plan = analyzer.plan(
+    let (report, trace) = traced(
+        &analyzer,
         &stream::paper_seq(true),
         ExecutionConfig::Strategy(Strategy::SpVaried),
     );
-    let (report, trace) = simulate_traced(&plan.program, &platform, &mut PinnedScheduler);
     println!("-- SP-Varied: {} --", report.makespan);
     print!("{}", trace.gantt(&platform, width));
     println!();

@@ -13,13 +13,13 @@
 use hetero_match::apps::synth;
 use hetero_match::matchmaker::{
     AccessPattern, Analyzer, AppDescriptor, BufferSpec, ExecutionConfig, ExecutionFlow, KernelSpec,
-    Planner, Strategy, SyncPolicy,
+    Planner, RunSpec, Strategy, SyncPolicy,
 };
 use hetero_match::platform::{
     DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, RetryPolicy, SimTime,
 };
 use hetero_match::runtime::{
-    simulate_adaptive, AccessMode, AdaptConfig, AdaptPlan, HealthConfig, PinnedScheduler,
+    simulate_spec, AccessMode, AdaptConfig, AdaptPlan, HealthConfig, NullObserver, PinnedScheduler,
 };
 use proptest::prelude::*;
 
@@ -236,12 +236,13 @@ fn degradation_ranking_with_adaptation_is_deterministic_and_complete() {
     let platform = Platform::icpp15();
     let analyzer = Analyzer::new(&platform);
     let desc = app();
-    let schedule = halved_gpu_profile(42);
-    let policy = RetryPolicy::default();
-    let health = HealthConfig::disabled();
-    let adapt = AdaptConfig::enabled_default();
+    let spec = RunSpec::adaptive(
+        halved_gpu_profile(42),
+        HealthConfig::disabled(),
+        AdaptConfig::enabled_default(),
+    );
 
-    let entries = analyzer.rank_by_degradation_adaptive(&desc, &schedule, policy, &health, &adapt);
+    let entries = analyzer.rank_by_degradation(&desc, &spec);
     // Baselines + the SK-Loop ranking (SP-Single, DP-Perf, DP-Dep).
     assert_eq!(entries.len(), 5);
     assert!(entries
@@ -260,7 +261,7 @@ fn degradation_ranking_with_adaptation_is_deterministic_and_complete() {
             assert!((e.degradation() - 1.0).abs() < 1e-9, "{}", e.config);
         }
     }
-    let again = analyzer.rank_by_degradation_adaptive(&desc, &schedule, policy, &health, &adapt);
+    let again = analyzer.rank_by_degradation(&desc, &spec);
     for (a, b) in entries.iter().zip(&again) {
         assert_eq!(a.config, b.config);
         assert_eq!(a.faulty.makespan, b.faulty.makespan);
@@ -349,23 +350,23 @@ fn sp_varied_adaptation_resolves_each_kernel_not_the_sp_single_projection() {
 
     // Execution itself is fault-free: the error lives in the profile.
     let schedule = FaultSchedule::new(3);
-    let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
     let adapt = AdaptConfig {
         escalation: false,
         ..AdaptConfig::enabled_default()
     };
     let run = |cfg: &AdaptConfig, ap: Option<AdaptPlan>| {
-        simulate_adaptive(
+        let spec = RunSpec::adaptive(schedule.clone(), health, *cfg);
+        simulate_spec(
             &plan.program,
             &platform,
             &mut PinnedScheduler,
-            &schedule,
-            policy,
-            &health,
-            cfg,
+            &spec,
             ap,
+            &mut NullObserver,
+            None,
         )
+        .unwrap()
     };
 
     let mis = run(&AdaptConfig::disabled(), None);

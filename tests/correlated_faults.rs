@@ -11,7 +11,7 @@
 //!   guard), and an open disturbance window blocks reinstatement.
 
 use hetero_match::apps::synth;
-use hetero_match::matchmaker::{Analyzer, ExecutionConfig, ExecutionFlow, Strategy};
+use hetero_match::matchmaker::{Analyzer, ExecutionConfig, ExecutionFlow, RunSpec, Strategy};
 use hetero_match::platform::{DeviceId, FaultSchedule, FaultTrace, Platform, RetryPolicy, SimTime};
 use hetero_match::runtime::{AdaptConfig, HealthConfig, TraceEvent, TraceObserver};
 use proptest::prelude::*;
@@ -59,7 +59,6 @@ fn deescalation_runs_the_full_lifecycle_and_is_visible_in_the_trace() {
     let analyzer = Analyzer::new(&platform);
     let desc = loop_app("lifecycle", 10);
     let sp = ExecutionConfig::Strategy(Strategy::SpSingle);
-    let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
     // A real fault window that has *closed* by escalation time rides along
     // with the stale profile: reinstatement must wait for calm, not for a
@@ -72,15 +71,8 @@ fn deescalation_runs_the_full_lifecycle_and_is_visible_in_the_trace() {
     );
 
     let mut tobs = TraceObserver::new();
-    let report = analyzer.simulate_adaptive_observed(
-        &desc,
-        sp,
-        &schedule,
-        policy,
-        &health,
-        &reinstate_after(2),
-        &mut tobs,
-    );
+    let spec = RunSpec::adaptive(schedule, health, reinstate_after(2));
+    let report = analyzer.run(&desc, sp, &spec, &mut tobs, None).unwrap();
     let escalated_at = report.adapt.escalated_at_epoch.expect("must escalate");
     let reinstated_at = report.adapt.reinstated_at_epoch.expect("must reinstate");
     assert!(report.adapt.escalated && report.adapt.reinstated);

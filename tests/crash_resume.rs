@@ -54,7 +54,7 @@ fn sweep(
             .with(&mut mobs)
             .with(&mut snap);
         analyzer
-            .simulate_journaled_observed(desc, config, spec, &mut sink, &mut multi)
+            .run(desc, config, spec, &mut multi, Some(&mut sink))
             .unwrap()
     };
     let digest = serde_json::to_string(&report).unwrap();

@@ -13,10 +13,9 @@
 
 use hetero_match::matchmaker::{Analyzer, ExecutionConfig, Planner, Strategy};
 use hetero_match::platform::{FaultSchedule, Platform, RetryPolicy, SimTime};
-use hetero_match::runtime::{
-    simulate, simulate_dp_perf_warmed, simulate_dp_perf_warmed_faulty, simulate_faulty,
-    PinnedScheduler,
-};
+
+const SP_SINGLE: ExecutionConfig = ExecutionConfig::Strategy(Strategy::SpSingle);
+const DP_PERF: ExecutionConfig = ExecutionConfig::Strategy(Strategy::DpPerf);
 
 /// The perturbation: from t=0 the GPU runs `slowdown` times slower than the
 /// rates every plan was built against (contention from a co-tenant). The
@@ -46,18 +45,14 @@ fn compute_app(n: u64) -> hetero_match::matchmaker::AppDescriptor {
 #[test]
 fn stale_static_plan_suffers_under_gpu_contention() {
     let platform = Platform::icpp15();
-    let planner = Planner::new(&platform);
+    let analyzer = Analyzer::new(&platform);
     let desc = compute_app(1 << 20);
 
     // Plan SP-Single against the healthy platform, then throttle the GPU 8x.
-    let stale = planner
-        .plan(&desc, ExecutionConfig::Strategy(Strategy::SpSingle))
-        .program;
-    let healthy = simulate(&stale, &platform, &mut PinnedScheduler);
-    let degraded = simulate_faulty(
-        &stale,
-        &platform,
-        &mut PinnedScheduler,
+    let healthy = analyzer.simulate(&desc, SP_SINGLE);
+    let degraded = analyzer.simulate_faulty(
+        &desc,
+        SP_SINGLE,
         &gpu_contention(8.0),
         RetryPolicy::default(),
     );
@@ -77,32 +72,15 @@ fn stale_static_plan_suffers_under_gpu_contention() {
 #[test]
 fn dp_perf_adapts_to_gpu_contention() {
     let platform = Platform::icpp15();
-    let planner = Planner::new(&platform);
+    let analyzer = Analyzer::new(&platform);
     let desc = compute_app(1 << 20);
     let contention = gpu_contention(8.0);
 
     // Both plans built healthy; the world degrades before execution.
-    let static_prog = planner
-        .plan(&desc, ExecutionConfig::Strategy(Strategy::SpSingle))
-        .program;
-    let dynamic_prog = planner
-        .plan(&desc, ExecutionConfig::Strategy(Strategy::DpPerf))
-        .program;
-
-    let stale_static = simulate_faulty(
-        &static_prog,
-        &platform,
-        &mut PinnedScheduler,
-        &contention,
-        RetryPolicy::default(),
-    );
+    let stale_static =
+        analyzer.simulate_faulty(&desc, SP_SINGLE, &contention, RetryPolicy::default());
     // DP-Perf profiles at runtime (warm-up run also sees the throttled GPU).
-    let adaptive = simulate_dp_perf_warmed_faulty(
-        &dynamic_prog,
-        &platform,
-        &contention,
-        RetryPolicy::default(),
-    );
+    let adaptive = analyzer.simulate_faulty(&desc, DP_PERF, &contention, RetryPolicy::default());
 
     assert!(
         adaptive.makespan < stale_static.makespan,
@@ -112,12 +90,7 @@ fn dp_perf_adapts_to_gpu_contention() {
     );
     // And DP-Perf's placement shifted towards the CPU relative to the
     // healthy-world optimum.
-    let healthy_share = {
-        let healthy_prog = planner
-            .plan(&desc, ExecutionConfig::Strategy(Strategy::DpPerf))
-            .program;
-        simulate_dp_perf_warmed(&healthy_prog, &platform).gpu_item_share()
-    };
+    let healthy_share = analyzer.simulate(&desc, DP_PERF).gpu_item_share();
     assert!(
         adaptive.gpu_item_share() < healthy_share,
         "degraded share {} vs healthy share {}",
@@ -158,8 +131,8 @@ fn replanning_restores_static_performance() {
     };
     let desc = compute_app(1 << 20);
     let analyzer = Analyzer::new(&degraded_platform);
-    let fresh_static = analyzer.simulate(&desc, ExecutionConfig::Strategy(Strategy::SpSingle));
-    let dynamic = analyzer.simulate(&desc, ExecutionConfig::Strategy(Strategy::DpPerf));
+    let fresh_static = analyzer.simulate(&desc, SP_SINGLE);
+    let dynamic = analyzer.simulate(&desc, DP_PERF);
     assert!(
         fresh_static.makespan <= dynamic.makespan + SimTime::from_millis(1),
         "fresh static {} vs dynamic {}",

@@ -92,7 +92,9 @@ fn catalog_matches_emitted_series_in_both_directions() {
     // Span profile: lift a traced fault-free run into a span tree and
     // export hm_span_seconds.
     let mut tobs = TraceObserver::new();
-    analyzer.simulate_observed(&desc, config, &mut tobs);
+    analyzer
+        .run(&desc, config, &RunSpec::plain(), &mut tobs, None)
+        .expect("traced fault-free run");
     let tree = SpanTree::from_trace(tobs.trace(), &platform);
     let mut registry = MetricsRegistry::new();
     tree.export_metrics(&mut registry, STREAM_STRATEGY_LABEL);

@@ -11,9 +11,9 @@ use hetero_match::matchmaker::{
 };
 use hetero_match::platform::{fnv1a_64, DeviceId, FaultSchedule, Platform, RetryPolicy, SimTime};
 use hetero_match::runtime::{
-    fold_stream, simulate, simulate_observed, simulate_traced, AdaptConfig, CriticalPath,
-    HealthConfig, MetricsObserver, MetricsRegistry, MultiObserver, NullObserver, PinnedScheduler,
-    ReplanConfig, SpanTree, TimeBreakdown, TraceObserver,
+    fold_stream, simulate, simulate_observed, AdaptConfig, CriticalPath, HealthConfig,
+    MetricsObserver, MetricsRegistry, MultiObserver, NullObserver, PinnedScheduler, ReplanConfig,
+    SpanTree, TimeBreakdown, TraceObserver,
 };
 use proptest::prelude::*;
 
@@ -63,7 +63,7 @@ fn breakdown_identity_holds_under_faults() {
         .with_dropout(DeviceId(1), SimTime::from_millis(2))
         .with_task_faults(None, 0.05, SimTime::ZERO, SimTime::MAX)
         .with_transfer_faults(0.05, SimTime::ZERO, SimTime::MAX);
-    for e in analyzer.rank_by_degradation(&desc, &schedule, RetryPolicy::default()) {
+    for e in analyzer.rank_by_degradation(&desc, &RunSpec::faulty(schedule)) {
         assert!(e.healthy.breakdown.identity_holds(), "{}", e.config);
         assert!(e.faulty.breakdown.identity_holds(), "{}", e.config);
         assert!(e.resilience_overhead() >= SimTime::ZERO);
@@ -89,7 +89,9 @@ fn observers_do_not_perturb_the_simulation() {
     let plain = simulate(&program, &platform, &mut PinnedScheduler);
     let mut null = NullObserver;
     let nulled = simulate_observed(&program, &platform, &mut PinnedScheduler, &mut null);
-    let (traced_report, trace) = simulate_traced(&program, &platform, &mut PinnedScheduler);
+    let mut traced = TraceObserver::new();
+    let traced_report = simulate_observed(&program, &platform, &mut PinnedScheduler, &mut traced);
+    let trace = traced.into_trace();
     let mut metrics = MetricsObserver::new(&platform, "SP-Single");
     let mut tracer = TraceObserver::new();
     let multi_report = {
@@ -210,7 +212,9 @@ fn span_tree_tiles_capacity_against_blame_for_whole_corpus() {
     for desc in paper_apps() {
         for (config, _) in analyzer.compare_all(&desc) {
             let mut tobs = TraceObserver::new();
-            let report = analyzer.simulate_observed(&desc, config, &mut tobs);
+            let report = analyzer
+                .run(&desc, config, &RunSpec::plain(), &mut tobs, None)
+                .unwrap();
             let tree = SpanTree::from_trace(tobs.trace(), &platform);
             assert_eq!(tree.end, report.makespan, "{} under {config}", desc.name);
             for (d, s) in tree.device_span_seconds().iter().enumerate() {
@@ -255,12 +259,12 @@ fn span_tree_tiles_capacity_under_faults() {
     let mut tobs = TraceObserver::new();
     let mut sink = JournalSink::record();
     let report = analyzer
-        .simulate_journaled_observed(
+        .run(
             &desc,
             config,
             &RunSpec::faulty(schedule),
-            &mut sink,
             &mut tobs,
+            Some(&mut sink),
         )
         .unwrap();
     assert!(report.faults.task_faults > 0 || report.faults.device_dropouts > 0);
@@ -447,22 +451,15 @@ proptest! {
             return Ok(());
         }
         let mut tobs = TraceObserver::new();
-        let report = if fault_prob == 0.0 {
-            analyzer.simulate_observed(desc, config, &mut tobs)
+        let spec = if fault_prob == 0.0 {
+            RunSpec::plain()
         } else {
-            let schedule = FaultSchedule::new(seed)
-                .with_task_faults(None, fault_prob, SimTime::ZERO, SimTime::MAX);
-            let mut sink = JournalSink::record();
-            analyzer
-                .simulate_journaled_observed(
-                    desc,
-                    config,
-                    &RunSpec::faulty(schedule),
-                    &mut sink,
-                    &mut tobs,
-                )
-                .unwrap()
+            RunSpec::faulty(
+                FaultSchedule::new(seed)
+                    .with_task_faults(None, fault_prob, SimTime::ZERO, SimTime::MAX),
+            )
         };
+        let report = analyzer.run(desc, config, &spec, &mut tobs, None).unwrap();
         let tree = SpanTree::from_trace(tobs.trace(), &platform);
         for (d, s) in tree.device_span_seconds().iter().enumerate() {
             let b = &report.breakdown.per_device[d];

@@ -11,9 +11,9 @@ use hetero_match::platform::{
     DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, RetryPolicy, SimTime,
 };
 use hetero_match::runtime::{
-    simulate, simulate_faulty, simulate_resilient, simulate_resilient_traced, simulate_traced,
-    Access, BreakerConfig, HealthConfig, PinnedScheduler, Program, Region, RunReport, TraceEvent,
-    VerificationPolicy, WatchdogConfig,
+    simulate, simulate_spec, Access, AdaptConfig, AdaptPlan, BreakerConfig, HealthConfig,
+    NullObserver, Observer, PinnedScheduler, Program, Region, ReplanConfig, RunReport, RunSpec,
+    Trace, TraceEvent, TraceObserver, VerificationPolicy, WatchdogConfig,
 };
 use proptest::prelude::*;
 
@@ -34,6 +34,47 @@ fn sp_single_program(platform: &Platform, n: u64) -> Program {
             ExecutionConfig::Strategy(Strategy::SpSingle),
         )
         .program
+}
+
+/// A pinned `program` run with the layers `spec` declares.
+fn run_observed(
+    program: &Program,
+    platform: &Platform,
+    spec: &RunSpec,
+    plan: Option<AdaptPlan>,
+    obs: &mut dyn Observer,
+) -> RunReport {
+    simulate_spec(
+        program,
+        platform,
+        &mut PinnedScheduler,
+        spec,
+        plan,
+        obs,
+        None,
+    )
+    .expect("an unjournaled run cannot fail")
+}
+
+fn run(program: &Program, platform: &Platform, spec: &RunSpec) -> RunReport {
+    run_observed(program, platform, spec, None, &mut NullObserver)
+}
+
+fn traced(program: &Program, platform: &Platform, spec: &RunSpec) -> (RunReport, Trace) {
+    let mut obs = TraceObserver::new();
+    let report = run_observed(program, platform, spec, None, &mut obs);
+    (report, obs.into_trace())
+}
+
+/// The repairing spec every repair test runs: plan repair on, adaptation
+/// off, so repair is the only layer above `health`.
+fn repairing(schedule: FaultSchedule, health: HealthConfig) -> RunSpec {
+    RunSpec::repairing(
+        schedule,
+        health,
+        AdaptConfig::disabled(),
+        ReplanConfig::enabled_default(),
+    )
 }
 
 fn total_items(r: &RunReport) -> u64 {
@@ -89,13 +130,7 @@ fn retry_exhaustion_fails_over_to_survivor() {
         SimTime::ZERO,
         SimTime::MAX,
     );
-    let report = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-    );
+    let report = run(&program, &platform, &RunSpec::faulty(schedule));
 
     assert_eq!(total_items(&report), n, "every item processed exactly once");
     assert_eq!(
@@ -127,13 +162,7 @@ fn all_device_faults_end_in_safe_mode() {
     // budget runs out with nowhere left to go, and safe mode must step in
     // to guarantee termination.
     let schedule = FaultSchedule::new(12).with_task_faults(None, 1.0, SimTime::ZERO, SimTime::MAX);
-    let report = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-    );
+    let report = run(&program, &platform, &RunSpec::faulty(schedule));
 
     assert_eq!(total_items(&report), n);
     assert!(report.faults.safe_mode_tasks >= 1, "{:?}", report.faults);
@@ -151,13 +180,8 @@ fn gpu_dropout_mid_run_completes_on_cpu() {
     // in-flight partition with it.
     let at = SimTime::from_secs_f64(healthy.makespan.as_secs_f64() / 2.0);
     let schedule = FaultSchedule::new(13).with_dropout(DeviceId(1), at);
-    let report = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-    );
+    let faulty = RunSpec::faulty(schedule);
+    let report = run(&program, &platform, &faulty);
 
     assert_eq!(report.faults.device_dropouts, 1);
     assert_eq!(total_items(&report), n, "no item lost, none double-counted");
@@ -173,13 +197,7 @@ fn gpu_dropout_mid_run_completes_on_cpu() {
         healthy.makespan
     );
     // Identical schedule, identical replay.
-    let again = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-    );
+    let again = run(&program, &platform, &faulty);
     assert_eq!(again.makespan, report.makespan);
     assert_eq!(again.faults, report.faults);
 }
@@ -223,7 +241,7 @@ fn committed_epochs_survive_dropout() {
         b.build()
     };
     let program = build();
-    let (healthy, trace) = simulate_traced(&program, &platform, &mut PinnedScheduler);
+    let (healthy, trace) = traced(&program, &platform, &RunSpec::plain());
 
     // Drop the GPU midway between epoch 1's commit (its flush completing)
     // and the end of the run — i.e. somewhere inside epoch 2.
@@ -240,13 +258,7 @@ fn committed_epochs_survive_dropout() {
         (epoch1_committed.as_secs_f64() + healthy.makespan.as_secs_f64()) / 2.0,
     );
     let schedule = FaultSchedule::new(14).with_dropout(DeviceId(1), at);
-    let report = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-    );
+    let report = run(&program, &platform, &RunSpec::faulty(schedule));
 
     assert_eq!(report.faults.device_dropouts, 1);
     assert_eq!(total_items(&report), 4000);
@@ -288,7 +300,7 @@ fn dropout_with_inflight_consumer_of_reset_producer() {
     );
     let program = b.build();
 
-    let (healthy, trace) = simulate_traced(&program, &platform, &mut PinnedScheduler);
+    let (healthy, trace) = traced(&program, &platform, &RunSpec::plain());
     let task_ends: Vec<SimTime> = trace
         .events
         .iter()
@@ -305,13 +317,8 @@ fn dropout_with_inflight_consumer_of_reset_producer() {
     let at =
         SimTime::from_secs_f64((producer_end.as_secs_f64() + consumer_end.as_secs_f64()) / 2.0);
     let schedule = FaultSchedule::new(15).with_dropout(DeviceId(1), at);
-    let report = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-    );
+    let faulty = RunSpec::faulty(schedule);
+    let report = run(&program, &platform, &faulty);
 
     assert_eq!(report.faults.device_dropouts, 1);
     assert_eq!(report.faults.reexecutions, 1, "{:?}", report.faults);
@@ -327,13 +334,7 @@ fn dropout_with_inflight_consumer_of_reset_producer() {
     assert_eq!(report.counters.devices[0].items, 2000);
     assert!(report.makespan >= healthy.makespan);
     // Identical schedule, identical replay.
-    let again = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-    );
+    let again = run(&program, &platform, &faulty);
     assert_eq!(again.makespan, report.makespan);
     assert_eq!(again.faults, report.faults);
 }
@@ -350,13 +351,8 @@ fn throttle_ramp_lengthens_makespan_end_to_end() {
     let until = SimTime::from_secs_f64(2.0 * healthy.makespan.as_secs_f64());
     let schedule =
         FaultSchedule::new(31).with_throttle(DeviceId(1), SimTime::ZERO, until, 1.0, 8.0);
-    let report = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-    );
+    let faulty = RunSpec::faulty(schedule);
+    let report = run(&program, &platform, &faulty);
 
     assert_eq!(total_items(&report), n, "throttling never loses work");
     assert!(
@@ -370,23 +366,11 @@ fn throttle_ramp_lengthens_makespan_end_to_end() {
     // A steeper ramp is strictly worse.
     let steeper =
         FaultSchedule::new(31).with_throttle(DeviceId(1), SimTime::ZERO, until, 1.0, 16.0);
-    let worse = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &steeper,
-        RetryPolicy::default(),
-    );
+    let worse = run(&program, &platform, &RunSpec::faulty(steeper));
     assert!(worse.makespan > report.makespan);
 
     // Identical schedule, identical replay.
-    let again = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-    );
+    let again = run(&program, &platform, &faulty);
     assert_eq!(again.makespan, report.makespan);
 }
 
@@ -419,21 +403,9 @@ fn hedging_beats_fail_stop_executor_on_mid_run_straggler() {
     let mid = SimTime::from_secs_f64(healthy.makespan.as_secs_f64() / 2.0);
     let schedule = FaultSchedule::new(41).with_throttle(DeviceId(1), mid, SimTime::MAX, 4.0, 4.0);
 
-    let fail_stop = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-    );
-    let (hedged, trace) = simulate_resilient_traced(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-        &hedging_only(),
-    );
+    let fail_stop = run(&program, &platform, &RunSpec::faulty(schedule.clone()));
+    let hedging = RunSpec::resilient(schedule, hedging_only());
+    let (hedged, trace) = traced(&program, &platform, &hedging);
 
     assert_eq!(total_items(&fail_stop), 4 * per_task);
     assert_eq!(total_items(&hedged), 4 * per_task);
@@ -463,14 +435,7 @@ fn hedging_beats_fail_stop_executor_on_mid_run_straggler() {
         .any(|e| matches!(e, TraceEvent::HedgeWon { .. })));
 
     // Identical schedule, identical replay.
-    let again = simulate_resilient(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-        &hedging_only(),
-    );
+    let again = run(&program, &platform, &hedging);
     assert_eq!(again.makespan, hedged.makespan);
     assert_eq!(again.health, hedged.health);
 }
@@ -513,13 +478,7 @@ fn dup_check_detects_silent_corruption_and_recommits_clean() {
 
     // Fail-stop baseline: nothing ever faults, so the corruption commits
     // silently — the run "succeeds" with wrong results.
-    let silent = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-    );
+    let silent = run(&program, &platform, &RunSpec::faulty(schedule.clone()));
     assert_eq!(silent.health.corruptions_detected, 0);
     assert!(silent.health.corruptions_injected >= 1);
     assert!(silent.health.corrupt_committed >= 1, "{:?}", silent.health);
@@ -533,14 +492,8 @@ fn dup_check_detects_silent_corruption_and_recommits_clean() {
         verification: VerificationPolicy::DupCheck { sample_rate: 1.0 },
         ..HealthConfig::disabled()
     };
-    let checked = simulate_resilient(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-        &verified,
-    );
+    let checking = RunSpec::resilient(schedule, verified);
+    let checked = run(&program, &platform, &checking);
     assert!(
         checked.health.corruptions_detected >= 1,
         "{:?}",
@@ -566,14 +519,7 @@ fn dup_check_detects_silent_corruption_and_recommits_clean() {
     );
 
     // Identical schedule, identical replay.
-    let again = simulate_resilient(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-        &verified,
-    );
+    let again = run(&program, &platform, &checking);
     assert_eq!(again.makespan, checked.makespan);
     assert_eq!(again.health, checked.health);
 }
@@ -637,14 +583,8 @@ fn circuit_breaker_quarantines_flaky_gpu_and_recloses_after_probe() {
         }),
         ..HealthConfig::disabled()
     };
-    let report = simulate_resilient(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-        &health,
-    );
+    let spec = RunSpec::resilient(schedule, health);
+    let report = run(&program, &platform, &spec);
 
     assert_eq!(total_items(&report), 28 * per_task);
     assert!(report.faults.task_faults >= 3, "{:?}", report.faults);
@@ -674,14 +614,7 @@ fn circuit_breaker_quarantines_flaky_gpu_and_recloses_after_probe() {
     );
 
     // Identical schedule, identical replay.
-    let again = simulate_resilient(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-        &health,
-    );
+    let again = run(&program, &platform, &spec);
     assert_eq!(again.makespan, report.makespan);
     assert_eq!(again.health, report.health);
 }
@@ -705,20 +638,9 @@ proptest! {
                 1.0,
                 4.0,
             );
-        let a = simulate_faulty(
-            &program,
-            &platform,
-            &mut PinnedScheduler,
-            &schedule,
-            RetryPolicy::default(),
-        );
-        let b = simulate_faulty(
-            &program,
-            &platform,
-            &mut PinnedScheduler,
-            &schedule,
-            RetryPolicy::default(),
-        );
+        let faulty = RunSpec::faulty(schedule);
+        let a = run(&program, &platform, &faulty);
+        let b = run(&program, &platform, &faulty);
         prop_assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
@@ -747,25 +669,12 @@ proptest! {
             .with_silent_corruption(DeviceId(1), corrupt_prob, SimTime::ZERO, until);
         prop_assert!(schedule.validate().is_ok());
         let health = HealthConfig::monitored();
-        let (a, ta) = simulate_resilient_traced(
-            &program,
-            &platform,
-            &mut PinnedScheduler,
-            &schedule,
-            RetryPolicy::default(),
-            &health,
-        );
+        let spec = RunSpec::resilient(schedule, health);
+        let (a, ta) = traced(&program, &platform, &spec);
         prop_assert_eq!(total_items(&a), 1 << 14);
         prop_assert!(a.makespan > SimTime::ZERO);
         prop_assert!(a.health.corruptions_detected <= a.health.corruptions_injected);
-        let (b, tb) = simulate_resilient_traced(
-            &program,
-            &platform,
-            &mut PinnedScheduler,
-            &schedule,
-            RetryPolicy::default(),
-            &health,
-        );
+        let (b, tb) = traced(&program, &platform, &spec);
         prop_assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
@@ -783,7 +692,6 @@ proptest! {
 /// span is closed at the makespan.
 #[test]
 fn death_while_quarantined_keeps_circuit_open() {
-    use hetero_match::runtime::{simulate_repairing, AdaptConfig, ReplanConfig};
     let platform = Platform::test_small();
     let per_task = 1000u64;
     // Same shape as the breaker-reclose test: epoch 1 trips the breaker
@@ -840,17 +748,8 @@ fn death_while_quarantined_keeps_circuit_open() {
         }),
         ..HealthConfig::disabled()
     };
-    let report = simulate_repairing(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-        &health,
-        &AdaptConfig::disabled(),
-        None,
-        &ReplanConfig::enabled_default(),
-    );
+    let spec = repairing(schedule, health);
+    let report = run(&program, &platform, &spec);
 
     assert_eq!(total_items(&report), 28 * per_task);
     assert_eq!(report.health.circuit_opens, 1, "{:?}", report.health);
@@ -882,17 +781,7 @@ fn death_while_quarantined_keeps_circuit_open() {
     );
 
     // Identical schedule, identical replay.
-    let again = simulate_repairing(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-        &health,
-        &AdaptConfig::disabled(),
-        None,
-        &ReplanConfig::enabled_default(),
-    );
+    let again = run(&program, &platform, &spec);
     assert_eq!(again.makespan, report.makespan);
     assert_eq!(again.health, report.health);
     assert_eq!(again.adapt, report.adapt);
@@ -912,7 +801,6 @@ proptest! {
         flaky_prob in 0.0f64..=1.0,
         drop_dev in 1usize..=2,
     ) {
-        use hetero_match::runtime::{simulate_repairing_traced, AdaptConfig, ReplanConfig};
         let platform = Platform::icpp15_with_phi();
         let desc = compute_app(1 << 16);
         let planner = Planner::new(&platform);
@@ -934,17 +822,15 @@ proptest! {
             }),
             ..HealthConfig::disabled()
         };
-        let (report, trace) = simulate_repairing_traced(
+        let mut tobs = TraceObserver::new();
+        let report = run_observed(
             &plan.program,
             &platform,
-            &mut PinnedScheduler,
-            &schedule,
-            RetryPolicy::default(),
-            &health,
-            &AdaptConfig::disabled(),
+            &repairing(schedule, health),
             planner.adapt_plan(&desc, config),
-            &ReplanConfig::enabled_default(),
+            &mut tobs,
         );
+        let trace = tobs.into_trace();
         let ndev = platform.devices.len();
         let mut death: Vec<Option<SimTime>> = vec![None; ndev];
         let mut open_at: Vec<Option<SimTime>> = vec![None; ndev];

@@ -4,16 +4,17 @@
 
 use hetero_match::apps::{blackscholes, stream, synth};
 use hetero_match::matchmaker::{
-    Analyzer, AppDescriptor, ExecutionConfig, ExecutionFlow, Planner, Strategy,
+    Analyzer, AppDescriptor, ExecutionConfig, ExecutionFlow, Planner, RunSpec, Strategy,
 };
 use hetero_match::platform::{
     DeviceId, FaultCounters, FaultSchedule, FaultTrace, Platform, RetryPolicy, SimTime,
 };
 use hetero_match::runtime::{
-    simulate_faulty, simulate_resilient, simulate_traced, AdaptConfig, AdaptReport, BreakerConfig,
-    HealthConfig, HealthReport, PinnedScheduler, Program, RunReport, Trace, VerificationPolicy,
-    WatchdogConfig,
+    AdaptConfig, AdaptReport, BreakerConfig, HealthConfig, HealthReport, PinnedScheduler, Program,
+    RunReport, Trace, TraceObserver, VerificationPolicy, WatchdogConfig,
 };
+
+const SP_SINGLE: ExecutionConfig = ExecutionConfig::Strategy(Strategy::SpSingle);
 
 #[test]
 fn descriptor_roundtrips_through_json() {
@@ -82,12 +83,12 @@ fn program_and_report_roundtrip() {
 #[test]
 fn trace_roundtrips_and_chrome_export_parses() {
     let platform = Platform::icpp15();
-    let planner = Planner::new(&platform);
     let desc = blackscholes::descriptor(1 << 18);
-    let program = planner
-        .plan(&desc, ExecutionConfig::Strategy(Strategy::SpSingle))
-        .program;
-    let (_, trace) = simulate_traced(&program, &platform, &mut PinnedScheduler);
+    let mut obs = TraceObserver::new();
+    Analyzer::new(&platform)
+        .run(&desc, SP_SINGLE, &RunSpec::plain(), &mut obs, None)
+        .unwrap();
+    let trace = obs.into_trace();
     assert!(!trace.events.is_empty());
 
     let json = serde_json::to_string(&trace).unwrap();
@@ -243,17 +244,12 @@ fn fault_trace_roundtrips_and_replays() {
 #[test]
 fn faulty_report_and_counters_roundtrip() {
     let platform = Platform::icpp15();
-    let planner = Planner::new(&platform);
     let desc = blackscholes::descriptor(1 << 16);
-    let program = planner
-        .plan(&desc, ExecutionConfig::Strategy(Strategy::SpSingle))
-        .program;
     let schedule =
         FaultSchedule::new(9).with_task_faults(Some(DeviceId(1)), 1.0, SimTime::ZERO, SimTime::MAX);
-    let report = simulate_faulty(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
+    let report = Analyzer::new(&platform).simulate_faulty(
+        &desc,
+        SP_SINGLE,
         &schedule,
         RetryPolicy::default(),
     );
@@ -411,19 +407,15 @@ fn replan_types_and_repairing_report_roundtrip() {
     // trace events survive round trips.
     let analyzer = Analyzer::new(&platform);
     let schedule = FaultSchedule::new(7).with_dropout(DeviceId(1), SimTime::from_micros(100));
-    let mut obs = hetero_match::runtime::TraceObserver::new();
-    let report = analyzer
-        .simulate_repairing_observed(
-            &desc,
-            config,
-            &schedule,
-            RetryPolicy::default(),
-            &HealthConfig::disabled(),
-            &AdaptConfig::disabled(),
-            &ReplanConfig::enabled_default(),
-            &mut obs,
-        )
-        .unwrap();
+    let spec = RunSpec::repairing(
+        schedule,
+        HealthConfig::disabled(),
+        AdaptConfig::disabled(),
+        ReplanConfig::enabled_default(),
+    );
+    let mut obs = TraceObserver::new();
+    let report = analyzer.run(&desc, config, &spec, &mut obs, None).unwrap();
+    assert_eq!(report.adapt.replan_error, None);
     assert!(report.adapt.replans >= 1, "the dropout must trigger repair");
     let rj = serde_json::to_string(&report).unwrap();
     let rb: RunReport = serde_json::from_str(&rj).unwrap();
@@ -443,11 +435,7 @@ fn replan_types_and_repairing_report_roundtrip() {
 #[test]
 fn resilient_report_health_roundtrips() {
     let platform = Platform::test_small();
-    let planner = Planner::new(&platform);
     let desc = blackscholes::descriptor(1 << 14);
-    let program = planner
-        .plan(&desc, ExecutionConfig::Strategy(Strategy::SpSingle))
-        .program;
     // A gray schedule that exercises the whole health report: a straggling
     // window for the watchdog, silent corruption for DupCheck, flakiness
     // for the breaker.
@@ -461,10 +449,9 @@ fn resilient_report_health_roundtrips() {
         )
         .with_silent_corruption(DeviceId(1), 1.0, SimTime::ZERO, SimTime::MAX)
         .with_flaky(DeviceId(1), 0.5, SimTime::ZERO, SimTime::from_micros(500));
-    let report = simulate_resilient(
-        &program,
-        &platform,
-        &mut PinnedScheduler,
+    let report = Analyzer::new(&platform).simulate_resilient(
+        &desc,
+        SP_SINGLE,
         &schedule,
         RetryPolicy::default(),
         &HealthConfig::monitored(),
