@@ -149,7 +149,7 @@ impl<'a> Analyzer<'a> {
                 &mut pinned
             }
         };
-        // The controller re-solves the (mispredicted) static decision.
+        // The controller rebalances the (mispredicted) static plan.
         let adapt_plan = mispredicted.and_then(|p| p.adapt_plan(desc, config));
         simulate_spec(
             &plan.program,

@@ -388,7 +388,8 @@ fn zero_largest_component(bd: &mut TimeBreakdown) -> bool {
 }
 
 /// The static-hybrid strategies the adaptive controller can actually
-/// correct (it re-solves their `AdaptPlan`; dynamic strategies have none).
+/// correct (it rebalances their pinned chunks; dynamic strategies have
+/// none).
 fn is_static_hybrid(config: ExecutionConfig) -> bool {
     matches!(
         config,
@@ -528,7 +529,7 @@ pub fn run_oracles_counted(
     // (c) Adaptive no-regression oracles, on the ProfilePerturb-only slice
     // of the schedule (the misprediction envelope PR 3/5 prove the
     // guarantees for) and only for static hybrid strategies — the only
-    // plans the controller can re-solve.
+    // plans the controller can rebalance.
     // The perturbation windows are normalized to whole-run span: the
     // misprediction planner samples `profile_factor` at t=0 (a window that
     // opens later never mispredicts the plan), and the no-regression

@@ -123,11 +123,11 @@ impl<'a> Analyzer<'a> {
     ///    by the schedule's `ProfilePerturb` windows open at time zero
     ///    (the planner "profiled" the perturbed platform and baked the
     ///    misprediction into the plan; execution runs at true rates);
-    /// 2. for static hybrid strategies the mispredicted
-    ///    [`hetero_runtime::AdaptPlan`] rides along so the controller can
-    ///    re-solve it against observed throughputs at taskwait barriers
-    ///    and, when re-solves are exhausted, escalate to the strategy's
-    ///    dynamic sibling (`Strategy::dynamic_sibling`, SP-* → DP-Perf).
+    /// 2. for static hybrid strategies the [`hetero_runtime::AdaptPlan`]
+    ///    rides along so the controller can rebalance the plan's chunks at
+    ///    taskwait barriers and, when corrections are exhausted, escalate
+    ///    to the strategy's dynamic sibling (`Strategy::dynamic_sibling`,
+    ///    SP-* → DP-Perf).
     ///
     /// With [`AdaptConfig::disabled`] this reproduces the *mispredicted
     /// baseline*: the same skewed plan executed with no mitigation.
@@ -150,9 +150,8 @@ impl<'a> Analyzer<'a> {
 
     /// [`Analyzer::simulate_adaptive`] with degraded-mode plan repair
     /// armed: when a device dies past its retry budget or the circuit
-    /// breaker quarantines it, the executor re-solves the surviving device
-    /// set (N-way via the planner's [`hetero_runtime::MultiAdaptPlan`] on
-    /// multi-accelerator platforms) and rebinds the queued chunks
+    /// breaker quarantines it, the executor rebalances the remaining
+    /// chunks over the surviving device set and rebinds the queued ones
     /// wave-aware, instead of leaning on naive chunk-by-chunk host
     /// failover. See DESIGN.md §8.6.
     ///

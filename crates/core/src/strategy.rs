@@ -52,7 +52,7 @@ impl Strategy {
     }
 
     /// The dynamic strategy a static plan falls back to when adaptive
-    /// re-solving is exhausted: SP-* → DP-Perf (the performance-aware
+    /// corrections are exhausted: SP-* → DP-Perf (the performance-aware
     /// policy, which Table I ranks for *every* class, so the escalation is
     /// always legal — see `ranking::escalation_target`). Dynamic
     /// strategies are their own sibling.

@@ -62,10 +62,7 @@ pub mod solve;
 pub use decision::{decide, DecisionConfig, HardwareConfig};
 pub use imbalanced::solve_imbalanced;
 pub use metrics::PartitionMetrics;
-pub use multi::{
-    resolve_multi_with_observations, solve_multi, AcceleratorSide, MultiDeviceProblem,
-    MultiSolution,
-};
+pub use multi::{solve_multi, AcceleratorSide, MultiDeviceProblem, MultiSolution};
 pub use problem::{PartitionProblem, TransferModel};
 pub use profiling::{estimate_rates, RateEstimates};
-pub use solve::{resolve_with_observations, solve, PartitionSolution};
+pub use solve::{solve, PartitionSolution};

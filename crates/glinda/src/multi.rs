@@ -204,63 +204,6 @@ pub fn solve_multi(problem: &MultiDeviceProblem) -> MultiSolution {
     }
 }
 
-/// Re-solve an N-way problem with *observed* device rates, warm-started
-/// from a prior split — the multi-accelerator analogue of
-/// [`crate::solve::resolve_with_observations`], and the re-solve the
-/// degraded-mode plan repair feeds with the executor's measured
-/// throughputs.
-///
-/// The original `problem` carries the transfer models and granularities;
-/// the observed rates replace the (possibly mispredicted, possibly stale)
-/// profile rates. `observed_accel_rates` is indexed like
-/// `problem.accelerators`; a `None` entry keeps that accelerator's model
-/// rate (no observation yet). The prior split competes on the corrected
-/// model's terms so a repair that cannot beat the standing assignment does
-/// not churn.
-pub fn resolve_multi_with_observations(
-    problem: &MultiDeviceProblem,
-    prior: &MultiSolution,
-    observed_cpu_rate: f64,
-    observed_accel_rates: &[Option<f64>],
-) -> MultiSolution {
-    assert!(
-        observed_cpu_rate.is_finite() && observed_cpu_rate > 0.0,
-        "observed CPU rate must be positive and finite, got {observed_cpu_rate}"
-    );
-    let mut corrected = problem.clone();
-    corrected.cpu_rate = observed_cpu_rate;
-    for (i, a) in corrected.accelerators.iter_mut().enumerate() {
-        if let Some(Some(r)) = observed_accel_rates.get(i) {
-            assert!(
-                r.is_finite() && *r > 0.0,
-                "observed accelerator rate must be positive and finite, got {r}"
-            );
-            a.rate = *r;
-        }
-    }
-    let fresh = solve_multi(&corrected);
-    // Warm start: clamp the prior split to the item total, then keep it if
-    // the corrected model says it already beats the fresh solve.
-    let mut prior_accel: Vec<u64> = prior.accel_items.clone();
-    prior_accel.resize(corrected.accelerators.len(), 0);
-    let mut assigned: u64 = 0;
-    for n in prior_accel.iter_mut() {
-        *n = (*n).min(corrected.items - assigned);
-        assigned += *n;
-    }
-    let prior_cpu = corrected.items - assigned;
-    let prior_time = corrected.predicted_time(prior_cpu, &prior_accel);
-    if prior_time < fresh.predicted_time {
-        MultiSolution {
-            cpu_items: prior_cpu,
-            accel_items: prior_accel,
-            predicted_time: prior_time,
-        }
-    } else {
-        fresh
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,41 +336,6 @@ mod tests {
         let s = solve_multi(&p);
         assert_eq!(s.cpu_items, 500);
         assert!((s.predicted_time - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn observed_resolve_shifts_load_to_the_truly_faster_device() {
-        // The model thought both accelerators ran at 400/s; in truth the
-        // first runs at 100/s. The corrected split must shrink its share.
-        let p = MultiDeviceProblem {
-            items: 9_000,
-            cpu_rate: 100.0,
-            accelerators: vec![accel(400.0), accel(400.0)],
-        };
-        let prior = solve_multi(&p);
-        let re = resolve_multi_with_observations(&p, &prior, 100.0, &[Some(100.0), None]);
-        assert_eq!(re.cpu_items + re.accel_items.iter().sum::<u64>(), 9_000);
-        assert!(
-            re.accel_items[0] < re.accel_items[1],
-            "slow device must get less: {re:?}"
-        );
-        assert!(re.accel_items[0] < prior.accel_items[0]);
-    }
-
-    #[test]
-    fn observed_resolve_keeps_a_prior_the_corrected_model_prefers() {
-        let p = MultiDeviceProblem {
-            items: 1_000,
-            cpu_rate: 100.0,
-            accelerators: vec![accel(400.0)],
-        };
-        let prior = solve_multi(&p);
-        // Observations match the model exactly: the prior must survive
-        // (predicted times tie at worst; the prior wins only strictly, so
-        // either way the split is unchanged).
-        let re = resolve_multi_with_observations(&p, &prior, 100.0, &[Some(400.0)]);
-        assert_eq!(re.cpu_items, prior.cpu_items);
-        assert_eq!(re.accel_items, prior.accel_items);
     }
 
     #[test]

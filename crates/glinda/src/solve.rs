@@ -79,51 +79,6 @@ pub fn solve(problem: &PartitionProblem) -> PartitionSolution {
     }
 }
 
-/// Re-solve a partitioning problem with *observed* device rates, warm-started
-/// from a prior solution.
-///
-/// This is the re-entrant entry point the adaptive runtime uses at epoch
-/// barriers: the original `problem` carries the transfer model and
-/// granularity, the observed rates replace the (possibly mispredicted)
-/// profile rates, and the prior split is kept as a candidate so that when the
-/// corrected model says the old split is already optimal the controller does
-/// not churn. The result is the fastest split under the *corrected* model
-/// among the closed-form optimum's granule neighbours and the prior split.
-pub fn resolve_with_observations(
-    problem: &PartitionProblem,
-    prior: &PartitionSolution,
-    observed_cpu_rate: f64,
-    observed_gpu_rate: f64,
-) -> PartitionSolution {
-    assert!(
-        observed_cpu_rate.is_finite() && observed_cpu_rate > 0.0,
-        "observed CPU rate must be positive and finite, got {observed_cpu_rate}"
-    );
-    assert!(
-        observed_gpu_rate.is_finite() && observed_gpu_rate > 0.0,
-        "observed GPU rate must be positive and finite, got {observed_gpu_rate}"
-    );
-    let corrected = PartitionProblem {
-        cpu_rate: observed_cpu_rate,
-        gpu_rate: observed_gpu_rate,
-        ..*problem
-    };
-    let fresh = solve(&corrected);
-    // Warm start: the prior split competes on the corrected model's terms.
-    let prior_items = prior.gpu_items.min(corrected.items);
-    if corrected.hybrid_time(prior_items) < fresh.predicted_time {
-        PartitionSolution {
-            gpu_items: prior_items,
-            cpu_items: corrected.items - prior_items,
-            beta: fresh.beta,
-            predicted_time: corrected.hybrid_time(prior_items),
-            metrics: fresh.metrics,
-        }
-    } else {
-        fresh
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,50 +211,6 @@ mod tests {
         assert_eq!(s.gpu_items, 0);
         assert_eq!(s.cpu_items, 0);
         assert_eq!(s.predicted_time, 0.0);
-    }
-
-    #[test]
-    fn resolve_with_observations_corrects_a_mispredicted_split() {
-        // The profile claimed the GPU does 200 items/s; it really does 400.
-        let p = prob(1000, 100.0, 200.0, 0.0, 1.0, 1);
-        let mispredicted = solve(&p);
-        let corrected = resolve_with_observations(&p, &mispredicted, 100.0, 400.0);
-        let oracle = solve(&prob(1000, 100.0, 400.0, 0.0, 1.0, 1));
-        assert_eq!(corrected.gpu_items, oracle.gpu_items);
-        assert!(corrected.gpu_items > mispredicted.gpu_items);
-    }
-
-    #[test]
-    fn resolve_with_observations_keeps_an_already_optimal_split() {
-        let p = prob(1024, 100.0, 400.0, 0.0, 1.0, 32);
-        let s = solve(&p);
-        // Observations match the profile: the prior split must stand.
-        let again = resolve_with_observations(&p, &s, 100.0, 400.0);
-        assert_eq!(again.gpu_items, s.gpu_items);
-        assert_eq!(again.cpu_items, s.cpu_items);
-    }
-
-    #[test]
-    fn resolve_with_observations_is_idempotent_under_fixed_rates() {
-        // Repeated re-solves with the same observations reach a fixed point
-        // after the first step — the controller cannot oscillate.
-        let p = prob(10_000, 123.0, 777.0, 3.0, 500.0, 64);
-        let mut s = solve(&prob(10_000, 123.0, 300.0, 3.0, 500.0, 64));
-        let first = resolve_with_observations(&p, &s, 123.0, 777.0);
-        s = first;
-        for _ in 0..5 {
-            let next = resolve_with_observations(&p, &s, 123.0, 777.0);
-            assert_eq!(next.gpu_items, s.gpu_items);
-            s = next;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "observed GPU rate must be positive")]
-    fn resolve_rejects_bad_observed_rates() {
-        let p = prob(10, 1.0, 1.0, 0.0, 1.0, 1);
-        let s = solve(&p);
-        let _ = resolve_with_observations(&p, &s, 1.0, 0.0);
     }
 
     #[test]

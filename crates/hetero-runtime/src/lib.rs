@@ -63,9 +63,7 @@ pub mod spec;
 pub mod stats;
 pub mod trace;
 
-pub use adapt::{
-    AdaptConfig, AdaptPlan, AdaptReport, KernelAdaptPlan, MultiAdaptPlan, ReplanConfig, ReplanError,
-};
+pub use adapt::{AdaptConfig, AdaptPlan, AdaptReport, ReplanConfig, ReplanError};
 pub use coherence::{CoherenceDir, Transfer};
 pub use data::{Access, AccessMode, BufferDesc, BufferId, Region};
 pub use executor::{

@@ -440,7 +440,7 @@ impl SpanTree {
                         format!("repartition epoch {epoch}"),
                         None,
                         *at,
-                        format!("observed imbalance; next epoch gpu {gpu_items} / cpu {cpu_items}"),
+                        format!("rebalanced; next epoch gpu {gpu_items} / cpu {cpu_items}"),
                     ));
                 }
                 TraceEvent::StrategyEscalated { epoch, at } => {

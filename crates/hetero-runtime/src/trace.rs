@@ -172,16 +172,16 @@ pub enum TraceEvent {
         /// When the barrier was reached.
         at: SimTime,
     },
-    /// The controller re-solved the partition against observed
-    /// throughputs and re-pinned the remaining epochs' chunks.
+    /// The controller's rebalancer re-pinned the remaining epochs'
+    /// static chunks.
     Repartitioned {
-        /// Epoch whose barrier triggered the re-solve.
+        /// Epoch whose barrier triggered the rebalance.
         epoch: usize,
-        /// Corrected split: items on the accelerator side.
+        /// Items the next epoch runs on accelerators, as applied.
         gpu_items: u64,
-        /// Corrected split: items on the CPU side.
+        /// Items the next epoch runs on the host, as applied.
         cpu_items: u64,
-        /// When the re-solve was applied.
+        /// When the rebalance was applied.
         at: SimTime,
     },
     /// The static plan was abandoned for its dynamic sibling (DP-Perf)
@@ -207,7 +207,7 @@ pub enum TraceEvent {
         /// When the trigger fired.
         at: SimTime,
     },
-    /// An escalated run returned to its (re-solved) static plan after
+    /// An escalated run returned to its (rebalanced) static plan after
     /// consecutive calm barriers with no open fault window (DP-Perf →
     /// SP-* de-escalation).
     StrategyReinstated {
@@ -216,7 +216,7 @@ pub enum TraceEvent {
         /// When the reinstatement happened.
         at: SimTime,
     },
-    /// The plan-repair subsystem re-solved the remaining epochs over the
+    /// The plan-repair subsystem rebalanced the remaining epochs over the
     /// surviving device set after a device death or quarantine and
     /// rebound the queued chunks.
     PlanRepaired {
@@ -671,7 +671,7 @@ impl Trace {
                 } => {
                     events.push(Ev {
                         name: format!(
-                            "REPARTITION epoch {epoch} (gpu {gpu_items} / cpu {cpu_items})"
+                            "REPARTITION epoch {epoch} (next epoch gpu {gpu_items} / cpu {cpu_items})"
                         ),
                         ph: "X",
                         ts: at.as_micros_f64(),

@@ -7,9 +7,10 @@
 //! adaptive controller closes the loop at taskwait barriers:
 //!
 //! 1. a **mispredicted profile** (the planner saw the GPU at half speed)
-//!    detected from per-epoch busy-time skew and corrected by re-solving
-//!    the split from *observed* throughputs;
-//! 2. **escalation**: when re-solving is exhausted without reaching the
+//!    detected from per-epoch busy-time skew and corrected by rebalancing
+//!    the remaining chunks with the device model, calibrated against how
+//!    fast each device actually ran;
+//! 2. **escalation**: when corrections are exhausted without reaching the
 //!    balance target, the static plan falls back to its dynamic sibling
 //!    (SP-Single → DP-Perf, the Table I escalation) seeded with the run's
 //!    own observations;
@@ -46,7 +47,7 @@ fn main() {
     let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
 
-    // --- 1. Mispredicted profile: detect + re-solve ----------------------
+    // --- 1. Mispredicted profile: detect + rebalance --------------------
     // The planner profiled the GPU at half its true throughput; the
     // SP-Single split under-offloads and every epoch leaves the GPU idle
     // while the CPU grinds. Execution itself is untouched.
@@ -88,11 +89,11 @@ fn main() {
         100.0 * recovered / gap
     );
     assert!(adaptive.makespan < mispredicted.makespan);
-    assert!(!adaptive.adapt.escalated, "re-solving restored balance");
+    assert!(!adaptive.adapt.escalated, "rebalancing restored balance");
 
     // --- 2. Escalation: SP-Single -> DP-Perf -----------------------------
     // Same misprediction, but repartitioning is disabled: every trigger
-    // burns a re-solve that cannot help, and after `max_resolves` misses
+    // burns a correction that cannot help, and after `max_resolves` misses
     // the static plan hands its remaining pinned tasks to an internal
     // DP-Perf scheduler seeded with the observed rates.
     let stubborn = AdaptConfig {
@@ -117,8 +118,9 @@ fn main() {
     // --- 3. Mid-run drift: the profile *was* right -----------------------
     // The plan was solved from a faithful profile, but the CPU throttles
     // 2.5x from mid-run onward (a DVFS/thermal event, as a ThrottleRamp).
-    // The same barrier loop re-solves from the observed — now throttled —
-    // rates and shifts the CPU's chunks onto the GPU. (The reverse drift,
+    // The same barrier loop sees the throttle in the CPU's calibration —
+    // the closing epoch ran slower than the model — and shifts the CPU's
+    // chunks onto the GPU. (The reverse drift,
     // a GPU throttle, is not repairable here: SP-Single emits the GPU
     // share as one chunk, and region splits are baked into the plan.)
     let healthy =

@@ -16,7 +16,7 @@
 //!    byte-identically with conditional triggering disabled;
 //! 4. **de-escalation**: an escalated run (SP-Single → DP-Perf) observes
 //!    calm barriers after the disturbance closes and returns to a
-//!    re-solved static plan, never losing to staying dynamic.
+//!    rebalanced static plan, never losing to staying dynamic.
 //!
 //! ```sh
 //! cargo run --release --example correlated_faults
@@ -152,12 +152,12 @@ fn main() {
     // --- 4. De-escalation: SP-Single -> DP-Perf -> SP-Single -------------
     // A stale profile makes the planner see the GPU at 2% of its real
     // speed, so the static plan drowns the CPU tail in work the GPU could
-    // swallow. Re-solving is disabled; the plan escalates to DP-Perf after
-    // one missed re-solve, and the dynamic scheduler re-routes the epoch
-    // onto the GPU. ProfilePerturb is a *planning* disturbance — no fault
-    // window is ever open at run time — so once the escalated epochs run
-    // calm, the controller re-solves the remaining epochs from observed
-    // rates and reinstates the static plan (with a no-regression guard).
+    // swallow. Repartitioning is disabled; the plan escalates to DP-Perf
+    // after one missed correction, and the dynamic scheduler re-routes the
+    // epoch onto the GPU. ProfilePerturb is a *planning* disturbance — no
+    // fault window is ever open at run time — so once the escalated epochs
+    // run calm, the controller rebalances the remaining epochs and
+    // reinstates the static plan (with a no-regression guard).
     let platform2 = Platform::icpp15();
     let analyzer2 = Analyzer::new(&platform2);
     let desc2 = synth::single_kernel(

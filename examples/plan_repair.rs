@@ -8,7 +8,7 @@
 //!
 //! 1. a **permanent GPU death** mid-BlackScholes on the dual-accelerator
 //!    platform — naive failover strands the dead GPU's share on the host;
-//!    plan repair re-solves the split over the survivors and rebinds the
+//!    plan repair rebalances the chunks over the survivors and rebinds the
 //!    queued chunks onto the coprocessor;
 //! 2. a **breaker reclose**: a flaky GPU is quarantined, probed after the
 //!    cool-down, and — once clean — *readmitted* by the symmetric healing
@@ -65,8 +65,8 @@ fn main() {
     // The K20m dies for good at 30% of the healthy makespan. Without
     // repair, its not-yet-started chunks fail over chunk-by-chunk to the
     // host while the coprocessor finishes early and idles. Plan repair
-    // re-solves the remaining epochs over {host, coprocessor} at observed
-    // rates and rebinds the queue.
+    // rebalances the remaining epochs over {host, coprocessor} with the
+    // calibrated device model and rebinds the queue.
     let platform = Platform::icpp15_with_phi();
     let analyzer = Analyzer::new(&platform);
     let desc = blackscholes::descriptor(1 << 20);
