@@ -99,8 +99,8 @@
 //!                                       # (default 0)
 //!   --shrink                            # minimize each failure to a small reproducer
 //!   --corpus <dir>                      # persist (shrunk) failures as JSON into <dir>
-//!   --self-check                        # plant a deliberate invariant break and verify
-//!                                       # the harness catches, shrinks and archives it
+//!   --self-check                        # plant deliberate invariant breaks and verify
+//!                                       # the harness catches, shrinks and archives each
 //! ```
 //!
 //! `fuzz` prints a deterministic campaign summary (no timestamps, ordered
@@ -669,52 +669,75 @@ fn main() {
             use matchmaker::{fuzz_campaign, FuzzConfig, InjectedBreak, OracleKind};
             use std::path::PathBuf;
             if self_check {
-                // Plant a deliberate invariant break (drop the largest blame
-                // component) and require the harness to catch it, shrink it
-                // to a small reproducer, and archive it — the end-to-end
-                // proof that the fuzzer would notice a real executor bug.
+                // Plant two deliberate invariant breaks in turn — a dropped
+                // blame component and a panic inside the oracle bank — and
+                // require the harness to catch each, shrink it to a small
+                // reproducer, and archive it: the end-to-end proof that the
+                // fuzzer would notice a real executor bug, a crash included.
                 let dir = corpus_dir.clone().map(PathBuf::from).unwrap_or_else(|| {
                     env::temp_dir().join(format!("matchmake-fuzz-self-check-{}", process::id()))
                 });
-                let cfg = FuzzConfig {
-                    iters: iters.min(10),
-                    base_seed: seed,
-                    shrink: true,
-                    corpus: Some(dir.clone()),
-                    inject: InjectedBreak {
-                        skip_blame_component: true,
-                        ..InjectedBreak::NONE
-                    },
-                    max_failures: 1,
-                };
-                let report = fuzz_campaign(&cfg);
-                print!("{}", report.summary());
-                let Some(f) = report.failures.first() else {
-                    eprintln!("self-check FAILED: planted blame break was not caught");
-                    exit(1);
-                };
-                let ok = f.oracle == OracleKind::BlameIdentity
-                    && f.kernels <= 5
-                    && f.tasks <= 5
-                    && f.devices <= 2
-                    && f.corpus_file
-                        .as_ref()
-                        .is_some_and(|name| dir.join(name).is_file());
-                if !ok {
-                    eprintln!(
-                        "self-check FAILED: expected a shrunk (<=5 tasks, <=2 devices) \
-                         blame-identity reproducer in {}, got {f:?}",
-                        dir.display()
+                let planted = [
+                    (
+                        InjectedBreak {
+                            skip_blame_component: true,
+                            ..InjectedBreak::NONE
+                        },
+                        OracleKind::BlameIdentity,
+                    ),
+                    (
+                        InjectedBreak {
+                            panic_in_bank: true,
+                            ..InjectedBreak::NONE
+                        },
+                        OracleKind::NoPanic,
+                    ),
+                ];
+                for (inject, oracle) in planted {
+                    let cfg = FuzzConfig {
+                        iters: iters.min(10),
+                        base_seed: seed,
+                        shrink: true,
+                        corpus: Some(dir.clone()),
+                        inject,
+                        max_failures: 1,
+                    };
+                    // The planted panic is expected: silence its hook output
+                    // (the caught message is the failure's detail).
+                    let hook = std::panic::take_hook();
+                    if inject.panic_in_bank {
+                        std::panic::set_hook(Box::new(|_| {}));
+                    }
+                    let report = fuzz_campaign(&cfg);
+                    std::panic::set_hook(hook);
+                    print!("{}", report.summary());
+                    let Some(f) = report.failures.first() else {
+                        eprintln!("self-check FAILED: planted {oracle} break was not caught");
+                        exit(1);
+                    };
+                    let ok = f.oracle == oracle
+                        && f.kernels <= 5
+                        && f.tasks <= 5
+                        && f.devices <= 2
+                        && f.corpus_file
+                            .as_ref()
+                            .is_some_and(|name| dir.join(name).is_file());
+                    if !ok {
+                        eprintln!(
+                            "self-check FAILED: expected a shrunk (<=5 tasks, <=2 devices) \
+                             {oracle} reproducer in {}, got {f:?}",
+                            dir.display()
+                        );
+                        exit(1);
+                    }
+                    println!(
+                        "self-check: planted {oracle} break caught, shrunk to {} task(s) / \
+                         {} device(s), archived as {}",
+                        f.tasks,
+                        f.devices,
+                        dir.join(f.corpus_file.as_deref().unwrap()).display()
                     );
-                    exit(1);
                 }
-                println!(
-                    "self-check: planted break caught, shrunk to {} task(s) / {} device(s), \
-                     archived as {}",
-                    f.tasks,
-                    f.devices,
-                    dir.join(f.corpus_file.as_deref().unwrap()).display()
-                );
                 if corpus_dir.is_none() {
                     let _ = fs::remove_dir_all(&dir);
                 }

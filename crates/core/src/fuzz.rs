@@ -33,6 +33,7 @@ use hetero_runtime::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
 /// One generated fuzz scenario: everything needed to reproduce a run. The
@@ -337,6 +338,9 @@ pub struct InjectedBreak {
     /// Drop the last terminal outcome before the shed-or-serve check —
     /// simulates a service that silently loses a request under overload.
     pub break_service: bool,
+    /// Panic inside the bank, before its first simulated run — simulates
+    /// an executor that crashes on an internal assert.
+    pub panic_in_bank: bool,
 }
 
 impl InjectedBreak {
@@ -347,6 +351,7 @@ impl InjectedBreak {
         break_resume: false,
         break_stream_fold: false,
         break_service: false,
+        panic_in_bank: false,
     };
 }
 
@@ -400,7 +405,9 @@ fn is_static_hybrid(config: ExecutionConfig) -> bool {
 }
 
 /// Run the full oracle bank on `scenario`, returning every violation plus
-/// per-oracle check counts (for the campaign summary).
+/// per-oracle check counts (for the campaign summary). A panic propagates;
+/// [`run_oracles`] and [`fuzz_campaign`] catch it as a `no-panic`
+/// violation.
 pub fn run_oracles_counted(
     scenario: &Scenario,
     inject: &InjectedBreak,
@@ -448,6 +455,10 @@ pub fn run_oracles_counted(
                 }
             }
         }
+    }
+
+    if inject.panic_in_bank {
+        panic!("planted panic inside the oracle bank");
     }
 
     // (b) Blame identity on the healthy and the faulty path, plus
@@ -830,10 +841,12 @@ pub fn run_oracles_counted(
     // end-of-run `MetricsRegistry` JSON byte-for-byte, on every execution
     // path this scenario can exercise (plain, faulty, resilient always;
     // adaptive and repairing for static hybrid configs, where the
-    // controller and re-planner apply).
+    // controller and re-planner apply). The runs with the health layer on
+    // (resilient and up) are also held to the blame identity: no other
+    // oracle runs hedging, verification and the breaker.
     {
         use hetero_runtime::fold_stream;
-        use hetero_runtime::RunSpec;
+        use hetero_runtime::{RunMode, RunSpec};
 
         let mut first_stream_check = true;
         let mut check_stream =
@@ -851,7 +864,13 @@ pub fn run_oracles_counted(
                         OracleKind::StreamFoldEquivalence,
                         format!("{what}: streamed run failed: {e}"),
                     )),
-                    Ok((_, obs)) => {
+                    Ok((report, obs)) => {
+                        if !matches!(spec.mode, RunMode::Plain | RunMode::Faulty) {
+                            *checks.entry(OracleKind::BlameIdentity.name()).or_insert(0) += 1;
+                            if let Err(v) = check_blame_identity(&report) {
+                                violations.push(v);
+                            }
+                        }
                         let mut stream = obs.stream();
                         if break_here {
                             // Lose the final (run-end) delta line.
@@ -990,9 +1009,31 @@ pub fn run_oracles_counted(
     (violations, checks)
 }
 
-/// [`run_oracles_counted`] without the bookkeeping: just the violations.
+/// [`run_oracles_counted`] under `catch_unwind`: a panic anywhere in the
+/// bank becomes one [`OracleKind::NoPanic`] violation carrying the panic
+/// message, with no check counts.
+fn run_bank(
+    scenario: &Scenario,
+    inject: &InjectedBreak,
+) -> (Vec<OracleViolation>, BTreeMap<&'static str, u64>) {
+    std::panic::catch_unwind(AssertUnwindSafe(|| run_oracles_counted(scenario, inject)))
+        .unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "panic with a non-string payload".to_string());
+            (
+                vec![OracleViolation::new(OracleKind::NoPanic, message)],
+                BTreeMap::new(),
+            )
+        })
+}
+
+/// The oracle bank's violations on `scenario`, a panic included (the
+/// shrinker's predicate).
 pub fn run_oracles(scenario: &Scenario, inject: &InjectedBreak) -> Vec<OracleViolation> {
-    run_oracles_counted(scenario, inject).0
+    run_bank(scenario, inject).0
 }
 
 /// The result of fuzzing one seed — also the return type of
@@ -1407,7 +1448,7 @@ pub fn fuzz_campaign(cfg: &FuzzConfig) -> FuzzReport {
     for i in 0..cfg.iters {
         let seed = FaultRng::new(cfg.base_seed.wrapping_add(i)).next_u64();
         let scenario = Scenario::generate(seed);
-        let (violations, checks) = run_oracles_counted(&scenario, &cfg.inject);
+        let (violations, checks) = run_bank(&scenario, &cfg.inject);
         report.scenarios += 1;
         for (name, n) in checks {
             *report.checks.entry(name.to_string()).or_insert(0) += n;

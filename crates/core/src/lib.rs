@@ -78,7 +78,7 @@ pub use hetero_runtime::{JournalError, JournalSink, RunJournal, SalvageReport};
 pub use hetero_runtime::{OracleKind, OracleViolation};
 pub use hetero_runtime::{ReplanConfig, ReplanError};
 pub use hetero_runtime::{RunMode, RunSpec};
-pub use plan::{KernelModel, KernelSplit, Plan, Planner, SurvivorPlan};
+pub use plan::{KernelModel, KernelSplit, Plan, Planner};
 pub use profile::{ProfileStore, RateProfile};
 pub use ranking::{best_strategy, escalation_target, rank_of, ranking, SyncMode};
 pub use robustness::DegradationEntry;

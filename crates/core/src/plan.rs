@@ -35,7 +35,6 @@ use glinda::{
 use hetero_platform::{DeviceId, DeviceKind, MemSpaceId, Platform};
 use hetero_runtime::{
     split_even, Access, AdaptPlan, KernelId, PlanError, Program, ProgramBuilder, Region,
-    ReplanError,
 };
 use serde::{Deserialize, Serialize};
 
@@ -124,23 +123,6 @@ pub struct KernelModel {
     pub gpu_rate: f64,
     /// Transfer model for one offload of this kernel.
     pub transfer: TransferModel,
-}
-
-/// The outcome of [`Planner::replan_surviving`]: how to run the rest of
-/// the application on the devices that are still alive.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SurvivorPlan {
-    /// The execution configuration for the survivors — the original
-    /// strategy, or its downgrade ([`ExecutionConfig::OnlyCpu`] when only
-    /// the host survives or no surviving accelerator amortises its
-    /// transfers).
-    pub config: ExecutionConfig,
-    /// Surviving accelerators, in platform order (empty on an Only-CPU
-    /// downgrade).
-    pub accels: Vec<DeviceId>,
-    /// The re-solved N-way split over `accels` (`None` when downgraded to
-    /// Only-CPU with no accelerator left to solve for).
-    pub multi: Option<MultiSolution>,
 }
 
 impl<'a> Planner<'a> {
@@ -380,8 +362,7 @@ impl<'a> Planner<'a> {
     /// The N-way partitioning problem over *all* platform accelerators:
     /// each accelerator profiled directly against the roofline, the shared
     /// transfer model per side, per-link bandwidths. This is the problem
-    /// the static N-way decision solves and the one
-    /// [`Planner::replan_surviving`] re-solves over a survivor set.
+    /// the static N-way decision solves.
     fn multi_problem(
         &self,
         items: u64,
@@ -537,136 +518,6 @@ impl<'a> Planner<'a> {
             _ => false,
         };
         rebalanceable.then_some(AdaptPlan)
-    }
-
-    /// Re-solve the static plan for `config` over a *surviving* device
-    /// subset — the planner half of degraded-mode plan repair (DESIGN.md
-    /// §8.6). `survivors` is the set of devices still accepting work (the
-    /// executor passes everything not permanently dead or
-    /// breaker-quarantined); `observed_cpu_rate` / `observed_accel_rates`
-    /// (the latter indexed in platform accelerator order) carry live
-    /// whole-device throughput observations that override the profiled
-    /// model where present.
-    ///
-    /// The result downgrades the strategy when the device set demands it:
-    /// with no surviving accelerator the plan collapses to
-    /// [`ExecutionConfig::OnlyCpu`] (everything on the host), otherwise the
-    /// N-way waterfilling problem is restricted to the surviving
-    /// accelerators and re-solved. Errors are typed: an empty survivor set
-    /// is [`ReplanError::NoSurvivingAccelerator`]; a configuration with no
-    /// static plan to re-solve (dynamic strategies, single-device
-    /// baselines, weighted kernels) or unusable observed rates is
-    /// [`ReplanError::SolverInfeasible`].
-    pub fn replan_surviving(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        survivors: &[DeviceId],
-        observed_cpu_rate: Option<f64>,
-        observed_accel_rates: &[Option<f64>],
-    ) -> Result<SurvivorPlan, ReplanError> {
-        if survivors.is_empty() {
-            return Err(ReplanError::NoSurvivingAccelerator);
-        }
-        let host = self.platform.cpu().id;
-        if !survivors.contains(&host) {
-            // The simulator's host is immortal (it is the failover target
-            // of last resort); a survivor set without it is unplannable.
-            return Err(ReplanError::SolverInfeasible {
-                detail: "host CPU is not among the survivors".into(),
-            });
-        }
-        let accels: Vec<DeviceId> = self
-            .platform
-            .accelerators()
-            .map(|d| d.id)
-            .filter(|d| survivors.contains(d))
-            .collect();
-        if accels.is_empty() {
-            // Only the host survives: SP-* degrades to the Only-CPU
-            // baseline — there is nothing left to partition against.
-            return Ok(SurvivorPlan {
-                config: ExecutionConfig::OnlyCpu,
-                accels,
-                multi: None,
-            });
-        }
-        let full = match config {
-            ExecutionConfig::Strategy(Strategy::SpSingle | Strategy::SpVaried) => {
-                if desc.kernels.len() != 1 || desc.kernels[0].weights.is_some() {
-                    return Err(ReplanError::SolverInfeasible {
-                        detail: "per-kernel or weighted plans have no single split to re-solve"
-                            .into(),
-                    });
-                }
-                let model = self.kernel_model(desc, 0, true);
-                self.multi_problem(
-                    desc.kernels[0].domain,
-                    model.cpu_rate,
-                    &desc.kernels[0].profile,
-                    model.transfer,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::SpUnified) => {
-                if desc.kernels.iter().any(|k| k.weights.is_some()) {
-                    return Err(ReplanError::SolverInfeasible {
-                        detail: "weighted kernels split by work, not count".into(),
-                    });
-                }
-                self.unified_multi_problem(desc, self.unified_problem(desc).cpu_rate)
-            }
-            _ => {
-                return Err(ReplanError::SolverInfeasible {
-                    detail: format!("{config} has no static plan to re-solve"),
-                })
-            }
-        };
-        // Restrict the problem to the surviving accelerators, overriding
-        // profiled rates with live observations where available.
-        let all_accels: Vec<DeviceId> = self.platform.accelerators().map(|d| d.id).collect();
-        let mut sides = Vec::with_capacity(accels.len());
-        for (i, dev) in all_accels.iter().enumerate() {
-            if !accels.contains(dev) {
-                continue;
-            }
-            let mut side = full.accelerators[i];
-            if let Some(rate) = observed_accel_rates.get(i).copied().flatten() {
-                if !(rate.is_finite() && rate > 0.0) {
-                    return Err(ReplanError::SolverInfeasible {
-                        detail: format!("observed rate for dev{} is unusable ({rate})", dev.0),
-                    });
-                }
-                side.rate = rate;
-            }
-            sides.push(side);
-        }
-        let mut cpu_rate = full.cpu_rate;
-        if let Some(rate) = observed_cpu_rate {
-            if !(rate.is_finite() && rate > 0.0) {
-                return Err(ReplanError::SolverInfeasible {
-                    detail: format!("observed host rate is unusable ({rate})"),
-                });
-            }
-            cpu_rate = rate;
-        }
-        let solution = solve_multi(&MultiDeviceProblem {
-            items: full.items,
-            cpu_rate,
-            accelerators: sides,
-        });
-        // The waterfilling solver may drop every accelerator (none of them
-        // amortises its transfers any more): that, too, is an Only-CPU
-        // downgrade rather than a split.
-        let config = if solution.accel_items.iter().all(|&x| x == 0) {
-            ExecutionConfig::OnlyCpu
-        } else {
-            config
-        };
-        Ok(SurvivorPlan {
-            config,
-            accels,
-            multi: Some(solution),
-        })
     }
 
     /// Plan a program for the given execution configuration; panics on

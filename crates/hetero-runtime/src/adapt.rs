@@ -170,7 +170,7 @@ pub struct ReplanConfig {
     /// [`ReplanError::BudgetExhausted`].
     pub max_replans: u32,
     /// Re-plan symmetrically when a quarantined device recloses
-    /// (HalfOpen→Closed), readmitting it into the split.
+    /// (its probe passes), readmitting it into the split.
     pub heal_on_reclose: bool,
 }
 
@@ -223,12 +223,6 @@ pub enum ReplanError {
     /// Every device — host included — is dead or quarantined; there is no
     /// survivor set to re-solve over.
     NoSurvivingAccelerator,
-    /// The survivor re-solve could not produce a split (degenerate rates
-    /// or an infeasible problem).
-    SolverInfeasible {
-        /// What made the solve infeasible.
-        detail: String,
-    },
     /// [`ReplanConfig::max_replans`] applied repairs were already spent.
     BudgetExhausted {
         /// The configured budget that was exhausted.
@@ -241,9 +235,6 @@ impl fmt::Display for ReplanError {
         match self {
             ReplanError::NoSurvivingAccelerator => {
                 write!(f, "no surviving device to re-plan onto")
-            }
-            ReplanError::SolverInfeasible { detail } => {
-                write!(f, "survivor re-solve infeasible: {detail}")
             }
             ReplanError::BudgetExhausted { max_replans } => {
                 write!(f, "replan budget exhausted ({max_replans} allowed)")
@@ -369,10 +360,6 @@ mod tests {
         assert!(ReplanError::NoSurvivingAccelerator
             .to_string()
             .contains("no surviving"));
-        let e = ReplanError::SolverInfeasible {
-            detail: "zero observed rate".into(),
-        };
-        assert!(e.to_string().contains("zero observed rate"));
         let e = ReplanError::BudgetExhausted { max_replans: 4 };
         assert!(e.to_string().contains('4'));
     }

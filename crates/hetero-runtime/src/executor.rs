@@ -24,6 +24,27 @@
 //! [`RunMode`](crate::RunMode) declares; each layer disabled is
 //! byte-identical to the layer beneath it.
 //!
+//! # One task record, one device state, one take-back
+//!
+//! * Each task has one record. Its lifecycle is `Waiting → Queued(dev) →
+//!   Running(attempt) → Done(dev)`; a dropout, a quarantine drain, a
+//!   repair rebind or a rollback sends it back to `Waiting`. A task is
+//!   `Queued` exactly while it is in its device's FIFO: a retry-exhausted
+//!   task stays `Running` until its failover target queues it, so a repair
+//!   its breaker trip triggers leaves it alone. The running attempt holds
+//!   its dispatch time, its generation and its hedged duplicate, so a
+//!   hedge cannot outlive its attempt.
+//! * Every task event carries the generation of the attempt that issued
+//!   it, and is live only while its task runs under that generation. A
+//!   `HedgeDone` is live only while that attempt still has its winning
+//!   hedge on the event's peer.
+//! * Each device is `Up`, `Quarantined`, `Probing` (with its probe task)
+//!   or `Dead` (with the time of death). Death is absorbing.
+//! * A discarded dispatch (a dropout kill or reset, a hedge win, a
+//!   rollback) is taken back by one routine, `Sim::take_back`. It also
+//!   returns fault time the dispatch sampled past the discard instant;
+//!   each caller only chooses where the burned span is charged.
+//!
 //! # Resilient execution
 //!
 //! A faulty run executes the same model under a seeded [`FaultSchedule`]:
@@ -101,7 +122,7 @@
 use crate::adapt::{AdaptConfig, AdaptPlan, AdaptReport, ReplanConfig, ReplanError};
 use crate::coherence::CoherenceDir;
 use crate::graph::TaskGraph;
-use crate::health::{BreakerState, HealthConfig, HealthReport, QuarantineSpan, VerificationPolicy};
+use crate::health::{HealthConfig, HealthReport, QuarantineSpan, VerificationPolicy};
 use crate::journal::{EpochRecord, JournalError, JournalSink, RngCursors};
 use crate::obs::{route_event, DeviceBreakdown, NullObserver, Observer, TimeBreakdown};
 use crate::program::{KernelId, Program, TaskDesc, TaskId};
@@ -152,15 +173,15 @@ pub const REPLAN_STREAM: u64 = 0x9EBA_1A2C_D00D_5EED;
 /// not acted on.
 const NWAY_GUARD_MARGIN: f64 = 0.10;
 
+/// A task event carries the generation of the attempt it belongs to and is
+/// live only while its task runs under that generation ([`Sim::live`]).
 enum Ev {
     TaskDone {
         task: TaskId,
-        dev: DeviceId,
         gen: u32,
     },
     TaskAborted {
         task: TaskId,
-        dev: DeviceId,
         gen: u32,
     },
     EpochFlushed,
@@ -168,13 +189,13 @@ enum Ev {
         dev: DeviceId,
     },
     /// The straggler watchdog's deadline passed with the attempt still
-    /// running (`started`/`gen` identify the exact dispatch watched).
+    /// running.
     WatchdogFire {
         task: TaskId,
-        started: SimTime,
         gen: u32,
     },
-    /// A hedged duplicate designated the winner finished on its peer.
+    /// A hedged duplicate designated the winner finished on its peer; live
+    /// only while the attempt still has that winning hedge.
     HedgeDone {
         task: TaskId,
         dev: DeviceId,
@@ -256,32 +277,6 @@ struct FaultCtx<'a> {
     policy: RetryPolicy,
     rng: FaultRng,
     counters: FaultCounters,
-    /// Per device: permanently dropped out.
-    dead: Vec<bool>,
-    /// Per task: attempt generation; completion events carry the
-    /// generation they were issued under, so a dropout can invalidate the
-    /// in-flight event of a task it kills by bumping this.
-    gen: Vec<u32>,
-    /// Per task: already failed over once (next exhaustion → safe mode).
-    failed_over: Vec<bool>,
-    /// Per task: placement was forced (scheduler bypassed), so the
-    /// scheduler must not be told about its completion — its own books
-    /// still name the device *it* chose.
-    suppress_complete: Vec<bool>,
-    /// Per task: currently occupying a slot (dispatched, not done).
-    in_flight: Vec<bool>,
-    /// Per task: dispatch time of the current attempt batch.
-    started_at: Vec<SimTime>,
-    /// Per task: `record_task` was applied for the current dispatch (false
-    /// while an aborting dispatch only charged raw busy time).
-    recorded: Vec<bool>,
-    /// Per task: fault loss (failed attempts, backoff, transfer retries)
-    /// already booked into `time_lost` for the current dispatch, so a
-    /// dropout that discards the dispatch charges only the remainder.
-    booked_loss: Vec<SimTime>,
-    /// Per task: the current committed result is silently corrupted
-    /// (ground truth, tracked whether or not verification is on).
-    corrupt: Vec<bool>,
     /// Corrupt results injected across all dispatches.
     corruptions_injected: u64,
     /// Corruption injection disabled for the open epoch's re-runs (set
@@ -361,7 +356,77 @@ fn trigger_correlated(f: &mut FaultCtx, obs: &mut dyn Observer, source: DeviceId
     }
 }
 
-/// An active hedged duplicate of one straggling task.
+/// Everything the executor tracks about one task instance.
+struct TaskRec {
+    life: Life,
+    /// Data dependences not yet satisfied.
+    preds_left: usize,
+    /// Blame decomposition of the latest dispatch; its total is the slot
+    /// occupancy that dispatch charged.
+    cost: TaskCost,
+    /// Where the latest placement decision re-homed this static chunk.
+    repin: Option<Repin>,
+    /// Already failed over once (next exhaustion → safe mode).
+    failed_over: bool,
+    /// Placement was forced (scheduler bypassed), so the scheduler must not
+    /// be told about its completion — its own books still name the device
+    /// *it* chose.
+    suppress_complete: bool,
+    /// Bound by the escalated scheduler (pays the dynamic per-decision
+    /// scheduling overhead, routes `on_complete` internally).
+    by_escalated: bool,
+    /// The committed result is silently corrupted (ground truth, tracked
+    /// whether or not verification is on).
+    corrupt: bool,
+}
+
+/// A task's lifecycle. A task is placed on a device exactly while it is
+/// queued, running or done there.
+#[derive(Clone, Copy)]
+enum Life {
+    /// Unbound: dependences pending, epoch not yet active, or un-run by a
+    /// dropout, a quarantine drain, a repair rebind or a rollback.
+    Waiting,
+    /// Bound, waiting in the device's FIFO for a free slot.
+    Queued(DeviceId),
+    /// Holding a slot.
+    Running(Attempt),
+    /// Its result stands on the device.
+    Done(DeviceId),
+}
+
+impl Life {
+    /// The device a queued, running or done task is placed on.
+    fn placed(self) -> Option<DeviceId> {
+        match self {
+            Life::Waiting => None,
+            Life::Queued(d) | Life::Done(d) => Some(d),
+            Life::Running(a) => Some(a.dev),
+        }
+    }
+}
+
+/// One dispatch of a task, from its slot grant until it completes or is
+/// discarded.
+#[derive(Clone, Copy)]
+struct Attempt {
+    dev: DeviceId,
+    /// Dispatch time.
+    started: SimTime,
+    /// The generation this attempt's events must carry to be live. Every
+    /// dispatch draws a fresh one, and designating a winning hedge draws
+    /// another, which silences the straggling primary's completion.
+    gen: u32,
+    /// The dispatch recorded its work on the device counters (false while
+    /// an aborting dispatch only holds the slot).
+    recorded: bool,
+    /// The watchdog fired for this dispatch.
+    straggled: bool,
+    /// Active hedged duplicate.
+    hedge: Option<Hedge>,
+}
+
+/// An active hedged duplicate of one straggling attempt.
 #[derive(Clone, Copy)]
 struct Hedge {
     /// Device the duplicate runs on.
@@ -373,6 +438,38 @@ struct Hedge {
     winner: bool,
 }
 
+/// A re-pin of a not-yet-placed static chunk, tagged with the kind of
+/// decision that wrote it. The latest decision binds.
+#[derive(Clone, Copy)]
+enum Repin {
+    /// A survivor or healing re-plan: the chunk pays the per-decision
+    /// overhead, booked as `replan` blame.
+    Repair(DeviceId),
+    /// A barrier rebalance or a de-escalation.
+    Adapt(DeviceId),
+}
+
+impl Repin {
+    fn dev(self) -> DeviceId {
+        match self {
+            Repin::Repair(d) | Repin::Adapt(d) => d,
+        }
+    }
+}
+
+/// Availability of one device. `Dead` is absorbing.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum DevState {
+    Up,
+    /// Circuit open: new bindings redirect to survivors, nothing dispatches.
+    Quarantined,
+    /// Circuit half-open: queued bindings stay, and one probe task (once
+    /// dispatched, named here) is let through.
+    Probing(Option<TaskId>),
+    /// Dropped out at the given time.
+    Dead(SimTime),
+}
+
 /// Mutable gray-failure state, present only when a [`HealthConfig`] with
 /// at least one mitigation enabled was supplied.
 struct HealthCtx {
@@ -382,14 +479,8 @@ struct HealthCtx {
     report: HealthReport,
     /// Per device: consecutive bad observations (resets on a good one).
     consecutive_bad: Vec<u32>,
-    /// Per device: circuit-breaker state.
-    state: Vec<BreakerState>,
-    /// Per device: the probe task let through while half-open.
-    probe_task: Vec<Option<TaskId>>,
-    /// Per task: the watchdog fired for the current dispatch.
-    straggled: Vec<bool>,
-    /// Per task: active hedged duplicate.
-    hedge: Vec<Option<Hedge>>,
+    /// Per device: when the latest barrier's verification on it ends.
+    verified_until: Vec<SimTime>,
     /// Rollbacks of the open epoch so far.
     rollbacks_this_epoch: u32,
 }
@@ -413,14 +504,8 @@ struct AdaptCtx {
     consecutive_imbalanced: u32,
     /// Corrections since the run last met the balance target.
     resolves_since_balance: u32,
-    /// Per task: an adaptation decision's re-pin of a not-yet-placed
-    /// chunk ([`Sim::repin`]); plan repair mirrors its moves here too.
-    override_of: Vec<Option<DeviceId>>,
     /// The internal DP-Perf scheduler, once the static plan is abandoned.
     escalated: Option<PerfScheduler>,
-    /// Per task: bound by the escalated scheduler (pays the dynamic
-    /// per-decision scheduling overhead, routes `on_complete` internally).
-    bound_by_escalated: Vec<bool>,
     /// Consecutive escalated barriers that were balanced *and* free of any
     /// open disturbance window; reaching `reinstate_after` attempts a
     /// de-escalation back to the (rebalanced) static plan.
@@ -439,9 +524,6 @@ struct ReplanCtx {
     readmissions: u64,
     /// Why the last repair attempt failed, if any did.
     error: Option<ReplanError>,
-    /// Per task: survivor re-plan override re-pinning a pending chunk,
-    /// until a later adaptation decision re-pins it ([`Sim::repin`]).
-    override_of: Vec<Option<DeviceId>>,
 }
 
 /// Per-device calibration of the device model against committed work:
@@ -541,33 +623,37 @@ fn max_load(loads: &[Vec<f64>]) -> f64 {
         .fold(0.0f64, |m, &v| m.max(v))
 }
 
-/// The available device with the most slots (ties → lowest id), excluding
-/// `exclude`; `blocked` marks devices no binding may target (dead, or
-/// quarantined by the circuit breaker). The host (device 0, never dead and
-/// never quarantined) is the target of last resort.
-fn fallback_device(platform: &Platform, blocked: &[bool], exclude: Option<DeviceId>) -> DeviceId {
+/// The up device with the most slots (ties → lowest id), excluding
+/// `exclude`: no binding may target a dead, quarantined or probing device.
+/// The host (device 0, never dead and never quarantined) is the target of
+/// last resort.
+fn fallback_device(
+    platform: &Platform,
+    states: &[DevState],
+    exclude: Option<DeviceId>,
+) -> DeviceId {
     platform
         .devices
         .iter()
-        .filter(|d| !blocked[d.id.0] && Some(d.id) != exclude)
+        .filter(|d| states[d.id.0] == DevState::Up && Some(d.id) != exclude)
         .max_by_key(|d| (d.spec.kind.slots(), std::cmp::Reverse(d.id.0)))
         .map(|d| d.id)
         .unwrap_or(DeviceId(0))
 }
 
-/// Per-dispatch blame decomposition of one task's slot occupancy, mirrored
-/// alongside `busy_of` so reversals (dropout kills, epoch resets, hedge
-/// losses, rollbacks) can recategorize exactly what dispatch charged.
-/// Invariant: `sched + adapt + transfer + link + fault + exec == busy_of`
-/// for a successful dispatch (`exec == 0` for an aborted one).
+/// Per-dispatch blame decomposition of one task's slot occupancy, so a
+/// take-back ([`Sim::take_back`]) can recategorize exactly what the
+/// dispatch charged. The components sum to the dispatch's slot occupancy
+/// ([`TaskCost::busy`]); `exec` is zero for an aborted dispatch.
 #[derive(Clone, Copy, Default)]
 struct TaskCost {
     sched: SimTime,
     adapt: SimTime,
     transfer: SimTime,
     exec: SimTime,
-    /// Mirrors the dispatch's `booked_loss`: fault time already charged to
-    /// `fault_loss` at dispatch, so reversals charge only the remainder.
+    /// Fault loss (failed attempts, backoff, transfer retries) charged to
+    /// `fault_loss` and `time_lost` at dispatch, so a take-back charges
+    /// only the remainder of the span it discards.
     fault: SimTime,
     /// Extra wire time a successful transfer paid on a degraded link over
     /// its nominal cost (reversed with `transfer` on reversal).
@@ -575,6 +661,13 @@ struct TaskCost {
     /// Binding overhead charged because a survivor re-plan re-pinned this
     /// chunk (the plan-repair analogue of `sched`/`adapt`).
     replan: SimTime,
+}
+
+impl TaskCost {
+    /// The dispatch's slot occupancy.
+    fn busy(&self) -> SimTime {
+        self.sched + self.adapt + self.transfer + self.exec + self.fault + self.link + self.replan
+    }
 }
 
 struct Sim<'a> {
@@ -591,11 +684,10 @@ struct Sim<'a> {
     counters: PlatformCounters,
     per_kernel: Vec<KernelStats>,
 
-    remaining_preds: Vec<usize>,
-    completed: Vec<bool>,
-    busy_of: Vec<SimTime>,
-    exec_of: Vec<SimTime>,
-    placements: Vec<Option<DeviceId>>,
+    recs: Vec<TaskRec>,
+    /// The latest attempt generation drawn ([`Attempt::gen`]).
+    gen: u32,
+    dev_state: Vec<DevState>,
     dev_queues: Vec<VecDeque<TaskId>>,
     free_slots: Vec<usize>,
     /// Completion time of the last task finished on each device, used to
@@ -611,10 +703,6 @@ struct Sim<'a> {
     /// Per-device blame accumulators (always on; `dead`/`idle`/`slots` are
     /// filled in at `finish`).
     blame: Vec<DeviceBreakdown>,
-    /// Per-task blame mirror of the current dispatch's accounting.
-    cost_of: Vec<TaskCost>,
-    /// Per-device dropout time (for the `dead` blame component).
-    death_at: Vec<Option<SimTime>>,
     /// Accelerator device owning each non-host memory space (`None` for
     /// the host space), for mapping a transfer hop to the host↔device
     /// link a [`FaultEvent::LinkDegrade`] window names.
@@ -650,7 +738,6 @@ impl<'a> Sim<'a> {
         let graph = TaskGraph::build(program);
         let tasks: Vec<&TaskDesc> = program.tasks().into_iter().map(|(_, t)| t).collect();
         let epochs = program.epochs();
-        let n = tasks.len();
         let per_kernel = program
             .kernels
             .iter()
@@ -669,15 +756,6 @@ impl<'a> Sim<'a> {
                 policy,
                 rng: schedule.rng(),
                 counters: FaultCounters::default(),
-                dead: vec![false; platform.devices.len()],
-                gen: vec![0; n],
-                failed_over: vec![false; n],
-                suppress_complete: vec![false; n],
-                in_flight: vec![false; n],
-                started_at: vec![SimTime::ZERO; n],
-                recorded: vec![false; n],
-                booked_loss: vec![SimTime::ZERO; n],
-                corrupt: vec![false; n],
                 corruptions_injected: 0,
                 suppress_corruption: false,
                 synth: Vec::new(),
@@ -701,10 +779,7 @@ impl<'a> Sim<'a> {
                 ..HealthReport::default()
             },
             consecutive_bad: vec![0; ndev],
-            state: vec![BreakerState::Closed; ndev],
-            probe_task: vec![None; ndev],
-            straggled: vec![false; n],
-            hedge: vec![None; n],
+            verified_until: vec![SimTime::ZERO; ndev],
             rollbacks_this_epoch: 0,
         });
         let adapt = spec.adapt_layer();
@@ -722,9 +797,7 @@ impl<'a> Sim<'a> {
             obs: BTreeMap::new(),
             consecutive_imbalanced: 0,
             resolves_since_balance: 0,
-            override_of: vec![None; n],
             escalated: None,
-            bound_by_escalated: vec![false; n],
             calm_barriers: 0,
         });
         let replan = spec.replan_layer();
@@ -739,11 +812,25 @@ impl<'a> Sim<'a> {
             replans: 0,
             readmissions: 0,
             error: None,
-            override_of: vec![None; n],
         });
         let calibration = (adapt.is_some() || replan.is_some()).then(|| Calibration::new(ndev));
         Sim {
-            remaining_preds: graph.preds.iter().map(Vec::len).collect(),
+            recs: graph
+                .preds
+                .iter()
+                .map(|p| TaskRec {
+                    life: Life::Waiting,
+                    preds_left: p.len(),
+                    cost: TaskCost::default(),
+                    repin: None,
+                    failed_over: false,
+                    suppress_complete: false,
+                    by_escalated: false,
+                    corrupt: false,
+                })
+                .collect(),
+            gen: 0,
+            dev_state: vec![DevState::Up; ndev],
             graph,
             tasks,
             epochs,
@@ -755,10 +842,6 @@ impl<'a> Sim<'a> {
             coherence: CoherenceDir::new(platform.mem_spaces, &program.buffers),
             counters: PlatformCounters::new(platform.devices.len()),
             per_kernel,
-            completed: vec![false; n],
-            busy_of: vec![SimTime::ZERO; n],
-            exec_of: vec![SimTime::ZERO; n],
-            placements: vec![None; n],
             dev_queues: platform.devices.iter().map(|_| VecDeque::new()).collect(),
             free_slots: platform
                 .devices
@@ -771,8 +854,6 @@ impl<'a> Sim<'a> {
             flushes_done: 0,
             obs,
             blame: vec![DeviceBreakdown::default(); ndev],
-            cost_of: vec![TaskCost::default(); n],
-            death_at: vec![None; ndev],
             space_dev: {
                 let mut map = vec![None; platform.mem_spaces];
                 for d in &platform.devices {
@@ -792,19 +873,77 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Reverse the non-fault blame components of `t`'s current dispatch on
-    /// `dev` — the blame mirror of taking back `busy_of[t]` from the device
-    /// counters. The `fault` component stays booked (it mirrors
-    /// `time_lost`, which reversals also keep).
-    fn unblame(&mut self, t: TaskId, dev: DeviceId) {
-        let c = self.cost_of[t.0];
+    /// Take back `t`'s latest dispatch on `dev`, discarded after it burned
+    /// `span` of slot time (a dropout kill or reset, a hedge win, or a
+    /// rollback): reverse the device counters, the per-kernel counts (when
+    /// the dispatch `recorded` its work) and the categorized blame it
+    /// booked. Its fault loss stays booked up to `span`; fault time sampled
+    /// past the discard instant was never burned and comes back out of
+    /// `fault_loss` and `time_lost`. Returns the rest of the burned span,
+    /// which the caller charges where the discard belongs.
+    fn take_back(&mut self, t: TaskId, dev: DeviceId, span: SimTime, recorded: bool) -> SimTime {
+        let task = self.tasks[t.0];
+        let cost = self.recs[t.0].cost;
+        let c = &mut self.counters.devices[dev.0];
+        c.busy = c.busy.saturating_sub(cost.busy());
+        if recorded {
+            c.tasks -= 1;
+            c.items -= task.items;
+            let ks = &mut self.per_kernel[task.kernel.0];
+            ks.items_per_device[dev.0] -= task.items;
+            ks.tasks_per_device[dev.0] -= 1;
+        }
+        let overbooked = cost.fault.saturating_sub(span);
         let b = &mut self.blame[dev.0];
-        b.scheduling = b.scheduling.saturating_sub(c.sched);
-        b.adaptation = b.adaptation.saturating_sub(c.adapt);
-        b.transfer = b.transfer.saturating_sub(c.transfer);
-        b.link_degraded = b.link_degraded.saturating_sub(c.link);
-        b.compute = b.compute.saturating_sub(c.exec);
-        b.replan = b.replan.saturating_sub(c.replan);
+        b.scheduling = b.scheduling.saturating_sub(cost.sched);
+        b.adaptation = b.adaptation.saturating_sub(cost.adapt);
+        b.transfer = b.transfer.saturating_sub(cost.transfer);
+        b.link_degraded = b.link_degraded.saturating_sub(cost.link);
+        b.compute = b.compute.saturating_sub(cost.exec);
+        b.replan = b.replan.saturating_sub(cost.replan);
+        b.fault_loss = b.fault_loss.saturating_sub(overbooked);
+        let f = self
+            .faults
+            .as_mut()
+            .expect("dispatches are discarded only under faults");
+        f.counters.time_lost = f.counters.time_lost.saturating_sub(overbooked);
+        span.saturating_sub(cost.fault)
+    }
+
+    /// The attempt a task event belongs to: live only while `t` runs under
+    /// the event's generation `gen`.
+    fn live(&self, t: TaskId, gen: u32) -> Option<Attempt> {
+        match self.recs[t.0].life {
+            Life::Running(a) if a.gen == gen => Some(a),
+            _ => None,
+        }
+    }
+
+    /// The attempt `t` is running.
+    fn attempt_mut(&mut self, t: TaskId) -> &mut Attempt {
+        match &mut self.recs[t.0].life {
+            Life::Running(a) => a,
+            _ => panic!("task {} is not running", t.0),
+        }
+    }
+
+    /// A device no new binding may target: dead, quarantined, or probing
+    /// (a probing device keeps its existing bindings as probe candidates).
+    fn unavailable(&self, d: DeviceId) -> bool {
+        self.dev_state[d.0] != DevState::Up
+    }
+
+    /// Cancel a hedged duplicate: the peer slot span it burned is hedge
+    /// waste.
+    fn burn_hedge(&mut self, hd: Hedge) {
+        let span = self.now.saturating_sub(hd.launched);
+        self.counters.devices[hd.peer.0].busy += span;
+        self.blame[hd.peer.0].hedge_waste += span;
+        let h = self
+            .health
+            .as_mut()
+            .expect("hedging is a health mitigation");
+        h.report.time_hedged += span;
     }
 
     fn run(self) -> RunReport {
@@ -836,19 +975,19 @@ impl<'a> Sim<'a> {
                 }
             }
             match ev {
-                Ev::TaskDone { task, dev, gen } => {
-                    if self.stale(task, gen) {
+                Ev::TaskDone { task, gen } => {
+                    let Some(a) = self.live(task, gen) else {
                         continue;
-                    }
+                    };
                     self.now = t;
-                    self.on_task_done(task, dev);
+                    self.on_task_done(task, a);
                 }
-                Ev::TaskAborted { task, dev, gen } => {
-                    if self.stale(task, gen) {
+                Ev::TaskAborted { task, gen } => {
+                    let Some(a) = self.live(task, gen) else {
                         continue;
-                    }
+                    };
                     self.now = t;
-                    self.on_task_aborted(task, dev);
+                    self.on_task_aborted(task, a.dev);
                 }
                 Ev::EpochFlushed => {
                     self.now = t;
@@ -863,19 +1002,24 @@ impl<'a> Sim<'a> {
                     self.now = t;
                     self.on_device_dropout(dev);
                 }
-                Ev::WatchdogFire { task, started, gen } => {
-                    if self.stale(task, gen) {
+                Ev::WatchdogFire { task, gen } => {
+                    let Some(a) = self.live(task, gen) else {
                         continue;
-                    }
+                    };
                     self.now = t;
-                    self.on_watchdog_fire(task, started);
+                    self.on_watchdog_fire(task, a);
                 }
                 Ev::HedgeDone { task, dev, gen } => {
-                    if self.stale(task, gen) {
+                    let won = self.live(task, gen).and_then(|a| {
+                        a.hedge
+                            .filter(|hd| hd.winner && hd.peer == dev)
+                            .map(|hd| (a, hd))
+                    });
+                    let Some((a, hd)) = won else {
                         continue;
-                    }
+                    };
                     self.now = t;
-                    self.on_hedge_done(task, dev);
+                    self.on_hedge_done(task, a, hd);
                 }
                 Ev::CircuitProbe { dev } => {
                     // Like dropouts, probes after the program finished must
@@ -894,7 +1038,7 @@ impl<'a> Sim<'a> {
             }
         }
         assert!(
-            self.completed.iter().all(|&c| c),
+            self.recs.iter().all(|r| matches!(r.life, Life::Done(_))),
             "deadlock: not all tasks completed (cyclic program or lost event)"
         );
         Ok(self.finish())
@@ -905,7 +1049,7 @@ impl<'a> Sim<'a> {
         if let Some(f) = &self.faults {
             // Ground truth is reported whether or not verification ran.
             health.corruptions_injected = f.corruptions_injected;
-            health.corrupt_committed = f.corrupt.iter().filter(|&&c| c).count() as u64;
+            health.corrupt_committed = self.recs.iter().filter(|r| r.corrupt).count() as u64;
         }
         // A breaker still open (or a device that died while quarantined) at
         // run end leaves its span open-ended; close it at the makespan so
@@ -924,9 +1068,10 @@ impl<'a> Sim<'a> {
             let b = &mut per_device[i];
             b.slots = d.spec.kind.slots() as u64;
             let cap = makespan * b.slots;
-            b.dead = self.death_at[i]
-                .map(|at| makespan.saturating_sub(at) * b.slots)
-                .unwrap_or(SimTime::ZERO);
+            b.dead = match self.dev_state[i] {
+                DevState::Dead(at) => makespan.saturating_sub(at) * b.slots,
+                _ => SimTime::ZERO,
+            };
             b.idle = cap.saturating_sub(b.active() + b.dead);
         }
         let report = RunReport {
@@ -967,16 +1112,6 @@ impl<'a> Sim<'a> {
         report
     }
 
-    /// `true` when a completion event belongs to a dispatch that a dropout
-    /// has since invalidated.
-    fn stale(&self, t: TaskId, gen: u32) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.gen[t.0] != gen)
-    }
-
-    fn cur_gen(&self, t: TaskId) -> u32 {
-        self.faults.as_ref().map_or(0, |f| f.gen[t.0])
-    }
-
     /// Begin the current epoch: bind its dependency-free tasks.
     fn activate_epoch(&mut self) {
         // Rollback budgets are per epoch: a fresh epoch re-enables
@@ -1003,7 +1138,7 @@ impl<'a> Sim<'a> {
             return;
         }
         for t in tasks {
-            if self.remaining_preds[t.0] == 0 {
+            if self.recs[t.0].preds_left == 0 {
                 self.make_ready(t);
             }
         }
@@ -1015,7 +1150,10 @@ impl<'a> Sim<'a> {
         let pred_placements: Vec<DeviceId> = self.graph.preds[t.0]
             .iter()
             .map(|p| {
-                self.placements[p.0].expect("predecessor completed, so it must have been placed")
+                self.recs[p.0]
+                    .life
+                    .placed()
+                    .expect("predecessor completed, so it must have been placed")
             })
             .collect();
         let task = self.tasks[t.0];
@@ -1065,7 +1203,7 @@ impl<'a> Sim<'a> {
         // Once the plan escalated, the internal DP-Perf scheduler binds
         // everything that follows; its view of the task has the static pin
         // stripped (a pinned task would otherwise bypass the policy).
-        // Before escalation, a repartition override re-pins the chunk.
+        // Before escalation, the latest placement decision's re-pin binds.
         let escalated_bind = self.adapt.as_ref().is_some_and(|a| a.escalated.is_some());
         let stripped;
         let bind_task = if escalated_bind {
@@ -1085,55 +1223,47 @@ impl<'a> Sim<'a> {
             pred_placements: &pred_placements,
             transfer_estimate: &transfer_estimate,
         };
+        let rec = &mut self.recs[t.0];
         let mut dev = if escalated_bind {
             let a = self.adapt.as_mut().unwrap();
-            if !a.bound_by_escalated[t.0] {
-                a.bound_by_escalated[t.0] = true;
+            if !rec.by_escalated {
+                rec.by_escalated = true;
                 a.report.escalated_tasks += 1;
             }
             a.escalated.as_mut().unwrap().bind(&ctx)
-        } else if let Some(d) = self.replan.as_ref().and_then(|r| r.override_of[t.0]) {
-            // A survivor re-plan's re-pin takes precedence over the
-            // repartition override: repair mirrors its moves into both
-            // maps, and a later adaptation decision clears the re-plan's
-            // pin ([`Sim::repin`]), so the latest decision binds.
-            d
-        } else if let Some(d) = self.adapt.as_ref().and_then(|a| a.override_of[t.0]) {
-            d
+        } else if let Some(r) = rec.repin {
+            r.dev()
         } else {
             self.scheduler.bind(&ctx)
         };
         // A binding that names a dead or quarantined device is redirected
         // to the fallback survivor (a pinned plan keeps naming its dead
         // device; redirecting here is what "falls back to Only-CPU
-        // completion"). Half-open devices keep their bindings: they become
+        // completion"). Probing devices keep their bindings: they become
         // probe candidates.
-        if self.faults.is_some() {
-            let unavail = self.unavailable();
-            let redirect = unavail[dev.0]
-                && !self
-                    .health
-                    .as_ref()
-                    .is_some_and(|h| h.state[dev.0] == BreakerState::HalfOpen);
-            if redirect {
-                let target = fallback_device(self.platform, &unavail, None);
-                if let Some(f) = self.faults.as_mut() {
-                    f.counters.failovers += 1;
-                    f.suppress_complete[t.0] = true;
-                }
-                route_event(
-                    &mut *self.obs,
-                    &TraceEvent::Failover {
-                        task: t,
-                        from: dev,
-                        to: target,
-                        at: self.now,
-                    },
-                );
-                dev = target;
-            }
+        if matches!(
+            self.dev_state[dev.0],
+            DevState::Quarantined | DevState::Dead(_)
+        ) {
+            let target = fallback_device(self.platform, &self.dev_state, None);
+            let f = self
+                .faults
+                .as_mut()
+                .expect("devices go down only under faults");
+            f.counters.failovers += 1;
+            self.recs[t.0].suppress_complete = true;
+            route_event(
+                &mut *self.obs,
+                &TraceEvent::Failover {
+                    task: t,
+                    from: dev,
+                    to: target,
+                    at: self.now,
+                },
+            );
+            dev = target;
         }
-        self.placements[t.0] = Some(dev);
+        self.recs[t.0].life = Life::Queued(dev);
         self.dev_queues[dev.0].push_back(t);
         if self.obs.enabled() {
             let depth = self.dev_queues[dev.0].len();
@@ -1147,22 +1277,14 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Start as many queued tasks on `dev` as free slots allow. A
-    /// quarantined device dispatches nothing; a half-open device lets a
+    /// Start as many queued tasks on `dev` as free slots allow. A dead or
+    /// quarantined device dispatches nothing; a probing device lets a
     /// single probe task through at a time.
     fn dispatch(&mut self, dev: DeviceId) {
-        if self.faults.as_ref().is_some_and(|f| f.dead[dev.0]) {
-            return;
-        }
-        let half_open = match self.health.as_ref().map(|h| h.state[dev.0]) {
-            Some(BreakerState::Open) => return,
-            Some(BreakerState::HalfOpen) => {
-                if self.health.as_ref().unwrap().probe_task[dev.0].is_some() {
-                    return;
-                }
-                true
-            }
-            _ => false,
+        let probing = match self.dev_state[dev.0] {
+            DevState::Up => false,
+            DevState::Probing(None) => true,
+            DevState::Probing(Some(_)) | DevState::Quarantined | DevState::Dead(_) => return,
         };
         while self.free_slots[dev.0] > 0 {
             let Some(t) = self.dev_queues[dev.0].pop_front() else {
@@ -1170,22 +1292,25 @@ impl<'a> Sim<'a> {
             };
             self.free_slots[dev.0] -= 1;
             let (busy, nominal, aborted) = self.start_task(t, dev);
-            let gen = self.cur_gen(t);
-            if let Some(f) = &mut self.faults {
-                f.in_flight[t.0] = true;
-                f.started_at[t.0] = self.now;
-            }
-            if let Some(h) = &mut self.health {
-                h.straggled[t.0] = false;
-                if half_open {
-                    h.probe_task[dev.0] = Some(t);
-                    h.report.probes += 1;
-                }
+            self.gen += 1;
+            let gen = self.gen;
+            self.recs[t.0].life = Life::Running(Attempt {
+                dev,
+                started: self.now,
+                gen,
+                recorded: !aborted,
+                straggled: false,
+                hedge: None,
+            });
+            if probing {
+                self.dev_state[dev.0] = DevState::Probing(Some(t));
+                let h = self.health.as_mut().expect("probing is a breaker state");
+                h.report.probes += 1;
             }
             let ev = if aborted {
-                Ev::TaskAborted { task: t, dev, gen }
+                Ev::TaskAborted { task: t, gen }
             } else {
-                Ev::TaskDone { task: t, dev, gen }
+                Ev::TaskDone { task: t, gen }
             };
             self.queue.push(self.now + busy, ev);
             // Prescient watchdog: attempt durations are sampled at
@@ -1195,18 +1320,12 @@ impl<'a> Sim<'a> {
                 if let Some(w) = self.health.as_ref().and_then(|h| h.config.watchdog) {
                     let deadline = SimTime::from_secs_f64(nominal.as_secs_f64() * w.slack);
                     if nominal > SimTime::ZERO && busy > deadline {
-                        self.queue.push(
-                            self.now + deadline,
-                            Ev::WatchdogFire {
-                                task: t,
-                                started: self.now,
-                                gen,
-                            },
-                        );
+                        self.queue
+                            .push(self.now + deadline, Ev::WatchdogFire { task: t, gen });
                     }
                 }
             }
-            if half_open {
+            if probing {
                 break;
             }
         }
@@ -1227,16 +1346,9 @@ impl<'a> Sim<'a> {
         let mut nominal = SimTime::ZERO;
         let mut cost = TaskCost::default();
 
-        if let Some(f) = &mut self.faults {
-            f.booked_loss[t.0] = SimTime::ZERO;
-        }
-
         // Tasks bound by the escalated DP-Perf scheduler pay the dynamic
         // per-decision overhead even though the run started static.
-        let by_escalated = self
-            .adapt
-            .as_ref()
-            .is_some_and(|a| a.bound_by_escalated[t.0]);
+        let by_escalated = self.recs[t.0].by_escalated;
         let dynamic_bound = self.scheduler.is_dynamic() || by_escalated;
         if dynamic_bound {
             busy += self.platform.sched_overhead;
@@ -1254,10 +1366,7 @@ impl<'a> Sim<'a> {
         // overhead, booked to the `replan` blame component.
         let by_replan = !by_escalated
             && !dynamic_bound
-            && self
-                .replan
-                .as_ref()
-                .is_some_and(|r| r.override_of[t.0].is_some());
+            && matches!(self.recs[t.0].repin, Some(Repin::Repair(_)));
         if by_replan {
             busy += self.platform.sched_overhead;
             nominal += self.platform.sched_overhead;
@@ -1290,7 +1399,6 @@ impl<'a> Sim<'a> {
                             f.counters.transfer_faults += 1;
                             f.counters.transfer_retries += 1;
                             f.counters.time_lost += ddt;
-                            f.booked_loss[t.0] += ddt;
                             cost.fault += ddt;
                             self.counters.record_transfer(tr.bytes, ddt);
                             route_event(
@@ -1355,7 +1463,6 @@ impl<'a> Sim<'a> {
                 // The attempt runs to completion, then is detected failed.
                 f.counters.task_faults += 1;
                 f.counters.time_lost += this_exec;
-                f.booked_loss[t.0] += this_exec;
                 cost.fault += this_exec;
                 busy += this_exec;
                 route_event(
@@ -1371,12 +1478,10 @@ impl<'a> Sim<'a> {
                 // window (correlated fault domains).
                 trigger_correlated(f, &mut *self.obs, dev, self.now + busy);
                 if attempt >= max {
-                    let has_failover_target = !f.failed_over[t.0]
-                        && self
-                            .platform
-                            .devices
-                            .iter()
-                            .any(|d| !f.dead[d.id.0] && d.id != dev);
+                    let has_failover_target = !self.recs[t.0].failed_over
+                        && self.platform.devices.iter().any(|d| {
+                            !matches!(self.dev_state[d.id.0], DevState::Dead(_)) && d.id != dev
+                        });
                     if has_failover_target {
                         aborted = true;
                     } else {
@@ -1393,7 +1498,6 @@ impl<'a> Sim<'a> {
                 f.counters.task_retries += 1;
                 f.counters.backoff_time += bo;
                 f.counters.time_lost += bo;
-                f.booked_loss[t.0] += bo;
                 cost.fault += bo;
                 busy += bo;
                 attempt += 1;
@@ -1404,12 +1508,12 @@ impl<'a> Sim<'a> {
             // probability so schedules without SDC events keep their
             // exact fault stream.
             if !aborted {
-                f.corrupt[t.0] = false;
                 let cp = f.schedule.corruption_prob(dev, self.now);
-                if cp > 0.0 && !f.suppress_corruption && f.rng.next_f64() < cp {
-                    f.corrupt[t.0] = true;
+                let corrupt = cp > 0.0 && !f.suppress_corruption && f.rng.next_f64() < cp;
+                if corrupt {
                     f.corruptions_injected += 1;
                 }
+                self.recs[t.0].corrupt = corrupt;
             }
         } else {
             busy += exec;
@@ -1422,11 +1526,7 @@ impl<'a> Sim<'a> {
             // the blame books), so the span goes out as a held slot
             // rather than a task.
             self.counters.devices[dev.0].busy += busy;
-            self.busy_of[t.0] = busy;
-            if let Some(f) = &mut self.faults {
-                f.recorded[t.0] = false;
-            }
-            self.cost_of[t.0] = cost;
+            self.recs[t.0].cost = cost;
             self.apply_blame(dev, cost);
             route_event(
                 &mut *self.obs,
@@ -1452,14 +1552,14 @@ impl<'a> Sim<'a> {
         let ks = &mut self.per_kernel[task.kernel.0];
         ks.items_per_device[dev.0] += task.items;
         ks.tasks_per_device[dev.0] += 1;
-        self.busy_of[t.0] = busy;
-        self.exec_of[t.0] = exec;
         cost.exec = exec;
-        self.cost_of[t.0] = cost;
+        debug_assert_eq!(
+            cost.busy(),
+            busy,
+            "blame components tile the slot occupancy"
+        );
+        self.recs[t.0].cost = cost;
         self.apply_blame(dev, cost);
-        if let Some(f) = &mut self.faults {
-            f.recorded[t.0] = true;
-        }
         // Feed the adaptation observers: per-epoch skew accumulators and
         // the cumulative rate table that seeds an eventual escalation.
         if let Some(a) = &mut self.adapt {
@@ -1498,70 +1598,39 @@ impl<'a> Sim<'a> {
         b.replan += cost.replan;
     }
 
-    fn on_task_done(&mut self, t: TaskId, dev: DeviceId) {
-        self.completed[t.0] = true;
+    fn on_task_done(&mut self, t: TaskId, a: Attempt) {
+        let dev = a.dev;
+        self.recs[t.0].life = Life::Done(dev);
         self.free_slots[dev.0] += 1;
         self.dev_last_done[dev.0] = self.dev_last_done[dev.0].max(self.now);
         if self.obs.enabled() {
             self.obs.on_task_done(t, dev, self.now);
         }
         let task = self.tasks[t.0];
-        let suppress = if let Some(f) = &mut self.faults {
-            f.in_flight[t.0] = false;
-            f.suppress_complete[t.0]
-        } else {
-            false
-        };
-        if !suppress {
+        let rec = &self.recs[t.0];
+        let (busy, exec) = (rec.cost.busy(), rec.cost.exec);
+        if !rec.suppress_complete {
             // Escalated bindings report to the internal DP-Perf scheduler
             // whose books they live in, not the original (static) policy.
-            if self
-                .adapt
-                .as_ref()
-                .is_some_and(|a| a.bound_by_escalated[t.0])
-            {
+            if rec.by_escalated {
                 if let Some(esc) = self.adapt.as_mut().and_then(|a| a.escalated.as_mut()) {
-                    esc.on_complete(
-                        t,
-                        task.kernel,
-                        dev,
-                        task.items,
-                        self.busy_of[t.0],
-                        self.exec_of[t.0],
-                        self.now,
-                    );
+                    esc.on_complete(t, task.kernel, dev, task.items, busy, exec, self.now);
                 }
             } else {
-                self.scheduler.on_complete(
-                    t,
-                    task.kernel,
-                    dev,
-                    task.items,
-                    self.busy_of[t.0],
-                    self.exec_of[t.0],
-                    self.now,
-                );
+                self.scheduler
+                    .on_complete(t, task.kernel, dev, task.items, busy, exec, self.now);
             }
         }
 
         // A loser hedge is cancelled the moment its primary finishes: the
         // peer slot it burned is charged to `time_hedged` and freed.
-        if let Some(h) = &mut self.health {
-            if let Some(hd) = h.hedge[t.0].take() {
-                let span = self.now.saturating_sub(hd.launched);
-                self.counters.devices[hd.peer.0].busy += span;
-                self.blame[hd.peer.0].hedge_waste += span;
-                h.report.time_hedged += span;
-                self.free_slots[hd.peer.0] += 1;
-                self.dev_last_done[hd.peer.0] = self.dev_last_done[hd.peer.0].max(self.now);
-            }
+        if let Some(hd) = a.hedge {
+            self.burn_hedge(hd);
+            self.free_slots[hd.peer.0] += 1;
+            self.dev_last_done[hd.peer.0] = self.dev_last_done[hd.peer.0].max(self.now);
         }
         if self.health.is_some() {
-            let bad = self.health.as_ref().unwrap().straggled[t.0]
-                || self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.booked_loss[t.0] > SimTime::ZERO);
+            let bad = a.straggled || self.recs[t.0].cost.fault > SimTime::ZERO;
             self.observe(dev, !bad, Some(t));
         }
 
@@ -1579,10 +1648,11 @@ impl<'a> Sim<'a> {
         // consumer's standing result was left alone) must not be re-bound.
         let succs = self.graph.succs[t.0].clone();
         for s in succs {
-            self.remaining_preds[s.0] -= 1;
-            if self.remaining_preds[s.0] == 0
+            let rec = &mut self.recs[s.0];
+            rec.preds_left -= 1;
+            if rec.preds_left == 0
                 && self.graph.epoch_of[s.0] == self.cur_epoch
-                && self.placements[s.0].is_none()
+                && matches!(rec.life, Life::Waiting)
             {
                 self.make_ready(s);
             }
@@ -1601,21 +1671,21 @@ impl<'a> Sim<'a> {
     fn on_task_aborted(&mut self, t: TaskId, dev: DeviceId) {
         self.free_slots[dev.0] += 1;
         self.dev_last_done[dev.0] = self.dev_last_done[dev.0].max(self.now);
-        {
-            let f = self
-                .faults
-                .as_mut()
-                .expect("aborts only occur under faults");
-            f.in_flight[t.0] = false;
-            f.failed_over[t.0] = true;
-            f.suppress_complete[t.0] = true;
-            f.counters.failovers += 1;
-        }
+        let rec = &mut self.recs[t.0];
+        rec.failed_over = true;
+        rec.suppress_complete = true;
+        let f = self
+            .faults
+            .as_mut()
+            .expect("aborts only occur under faults");
+        f.counters.failovers += 1;
         // Observe first: the exhaustion may trip the breaker, and the
-        // fallback choice must see the updated quarantine set.
+        // fallback choice must see the updated quarantine set. The task
+        // stays `Running` until it is queued on the target, so a repair
+        // the trip triggers leaves it alone, as it leaves all in-flight
+        // work: the retry policy, not the repair, places a failover.
         self.observe(dev, false, Some(t));
-        let unavail = self.unavailable();
-        let target = fallback_device(self.platform, &unavail, Some(dev));
+        let target = fallback_device(self.platform, &self.dev_state, Some(dev));
         route_event(
             &mut *self.obs,
             &TraceEvent::Failover {
@@ -1625,7 +1695,7 @@ impl<'a> Sim<'a> {
                 at: self.now,
             },
         );
-        self.placements[t.0] = Some(target);
+        self.recs[t.0].life = Life::Queued(target);
         self.dev_queues[target.0].push_back(t);
         self.dispatch_all();
     }
@@ -1636,78 +1706,72 @@ impl<'a> Sim<'a> {
     /// from the host's epoch checkpoint, and re-binds everything to the
     /// survivors. Committed epochs (barrier reached) are never touched.
     fn on_device_dropout(&mut self, dev: DeviceId) {
-        if dev.0 == 0 {
-            return; // the host is the last resort and cannot die
+        // The host is the last resort and cannot die; death is absorbing.
+        if dev.0 == 0 || matches!(self.dev_state[dev.0], DevState::Dead(_)) {
+            return;
         }
+        self.dev_state[dev.0] = DevState::Dead(self.now);
         {
             let f = self
                 .faults
                 .as_mut()
                 .expect("dropouts only occur under faults");
-            if f.dead[dev.0] {
-                return;
-            }
-            f.dead[dev.0] = true;
             f.counters.device_dropouts += 1;
             // A dropout is the strongest member fault a domain can see;
             // surviving siblings get the correlated window.
             trigger_correlated(f, &mut *self.obs, dev, self.now);
         }
         self.free_slots[dev.0] = 0;
-        self.death_at[dev.0] = Some(self.now);
         route_event(
             &mut *self.obs,
             &TraceEvent::DeviceDropout { dev, at: self.now },
         );
+        // A barrier books verification up front and jumps past it, so this
+        // death may fall inside a verification booked here: the part past
+        // the death never ran (the dead tail covers it).
+        if let Some(h) = &mut self.health {
+            let past = h.verified_until[dev.0].saturating_sub(self.now);
+            let c = &mut self.counters.devices[dev.0];
+            c.busy = c.busy.saturating_sub(past);
+            let b = &mut self.blame[dev.0];
+            b.verify = b.verify.saturating_sub(past);
+            h.report.time_verifying = h.report.time_verifying.saturating_sub(past);
+        }
 
         // Hedge bookkeeping: a hedge whose peer died is lost (a
         // designated-winner's primary completion is revived), and a hedge
         // whose primary is about to be killed below is cancelled with it.
-        if self.health.is_some() {
-            for ti in 0..self.tasks.len() {
-                let Some(hd) = self.health.as_ref().and_then(|h| h.hedge[ti]) else {
-                    continue;
-                };
-                let span = self.now.saturating_sub(hd.launched);
-                if hd.peer == dev {
-                    self.counters.devices[dev.0].busy += span;
-                    self.blame[dev.0].hedge_waste += span;
-                    if let Some(h) = self.health.as_mut() {
-                        h.report.time_hedged += span;
-                        h.hedge[ti] = None;
-                    }
-                    if hd.winner {
-                        // The primary is still physically running; its
-                        // completion was invalidated when the hedge was
-                        // designated winner — revive it under the current
-                        // generation (the primary outlives the hedge by
-                        // construction: hedge_end < primary_end).
-                        let f = self.faults.as_ref().unwrap();
-                        let end = f.started_at[ti] + self.busy_of[ti];
-                        let gen = f.gen[ti];
-                        let pdev = self.placements[ti].expect("hedged task was placed");
-                        self.queue.push(
-                            end,
-                            Ev::TaskDone {
-                                task: TaskId(ti),
-                                dev: pdev,
-                                gen,
-                            },
-                        );
-                    }
-                } else if self.placements[ti] == Some(dev)
-                    && self.faults.as_ref().is_some_and(|f| f.in_flight[ti])
-                {
-                    // The kill loop below requeues the primary; the
-                    // duplicate's result is discarded with it.
-                    self.counters.devices[hd.peer.0].busy += span;
-                    self.blame[hd.peer.0].hedge_waste += span;
-                    self.free_slots[hd.peer.0] += 1;
-                    if let Some(h) = self.health.as_mut() {
-                        h.report.time_hedged += span;
-                        h.hedge[ti] = None;
-                    }
+        for ti in 0..self.recs.len() {
+            let Life::Running(a) = self.recs[ti].life else {
+                continue;
+            };
+            let Some(hd) = a.hedge else {
+                continue;
+            };
+            if hd.peer == dev {
+                self.burn_hedge(hd);
+                self.attempt_mut(TaskId(ti)).hedge = None;
+                if hd.winner {
+                    // The primary is still physically running; its
+                    // completion was silenced when the hedge was designated
+                    // winner — revive it under the attempt's generation
+                    // (the primary outlives the hedge by construction:
+                    // hedge_end < primary_end).
+                    let end = a.started + self.recs[ti].cost.busy();
+                    self.queue.push(
+                        end,
+                        Ev::TaskDone {
+                            task: TaskId(ti),
+                            gen: a.gen,
+                        },
+                    );
                 }
+            } else if a.dev == dev {
+                // The kill loop below requeues the primary; the
+                // duplicate's result is discarded with it.
+                self.burn_hedge(hd);
+                self.free_slots[hd.peer.0] += 1;
+                self.attempt_mut(TaskId(ti)).hedge = None;
             }
         }
 
@@ -1719,112 +1783,62 @@ impl<'a> Sim<'a> {
         // 1. Queued (bound, not yet started) work dies with its queue.
         let drained: Vec<TaskId> = self.dev_queues[dev.0].drain(..).collect();
 
-        // 2. In-flight work is killed: invalidate its completion event and
-        // take back the accounting recorded at dispatch.
-        let killed: Vec<TaskId> = (0..self.tasks.len())
+        // 2. In-flight work is killed and its dispatch taken back; the
+        // slot's net fault charge becomes exactly the span it really
+        // burned before the death.
+        let killed: Vec<TaskId> = (0..self.recs.len())
             .map(TaskId)
-            .filter(|t| {
-                self.placements[t.0] == Some(dev)
-                    && self.faults.as_ref().is_some_and(|f| f.in_flight[t.0])
-            })
+            .filter(|t| matches!(self.recs[t.0].life, Life::Running(a) if a.dev == dev))
             .collect();
         for &t in &killed {
-            let task = self.tasks[t.0];
-            let (was_recorded, lost, overbooked) = {
-                let f = self.faults.as_mut().unwrap();
-                f.gen[t.0] += 1;
-                f.in_flight[t.0] = false;
-                // The dispatch's failed attempts, backoff and transfer
-                // retries were already booked at dispatch; charge only the
-                // rest of the discarded span. Attempts sampled at dispatch
-                // may sit logically *after* the death — that portion was
-                // never burned (the dead tail covers it), so it comes back.
-                let span = self.now.saturating_sub(f.started_at[t.0]);
-                let booked = f.booked_loss[t.0];
-                (
-                    f.recorded[t.0],
-                    span.saturating_sub(booked),
-                    booked.saturating_sub(span),
-                )
+            let Life::Running(a) = self.recs[t.0].life else {
+                unreachable!("killed tasks are running");
             };
-            {
-                let tl = &mut self.faults.as_mut().unwrap().counters.time_lost;
-                *tl = (*tl + lost).saturating_sub(overbooked);
-            }
-            let c = &mut self.counters.devices[dev.0];
-            c.busy = c.busy.saturating_sub(self.busy_of[t.0]);
-            if was_recorded {
-                c.tasks -= 1;
-                c.items -= task.items;
-                let ks = &mut self.per_kernel[task.kernel.0];
-                ks.items_per_device[dev.0] -= task.items;
-                ks.tasks_per_device[dev.0] -= 1;
-            }
-            // Blame mirror: the dispatch's categorized charges come back;
-            // the slot's net fault charge becomes exactly the span it
-            // really burned before the death.
-            self.unblame(t, dev);
-            let fl = &mut self.blame[dev.0].fault_loss;
-            *fl = (*fl + lost).saturating_sub(overbooked);
+            let lost = self.take_back(t, dev, self.now.saturating_sub(a.started), a.recorded);
+            self.charge_fault_loss(dev, lost);
         }
 
         // 3. Uncommitted completions of the open epoch that ran here must
-        // re-execute: their outputs existed only in the dead memory.
+        // re-execute: their outputs existed only in the dead memory. The
+        // whole discarded span becomes fault loss.
         let resets: Vec<TaskId> = if epoch_open {
             self.epochs[self.cur_epoch]
                 .iter()
                 .copied()
-                .filter(|t| self.completed[t.0] && self.placements[t.0] == Some(dev))
+                .filter(|t| matches!(self.recs[t.0].life, Life::Done(d) if d == dev))
                 .collect()
         } else {
             Vec::new()
         };
         for &t in &resets {
-            self.completed[t.0] = false;
             self.epoch_remaining += 1;
-            let task = self.tasks[t.0];
-            let c = &mut self.counters.devices[dev.0];
-            c.tasks -= 1;
-            c.items -= task.items;
-            c.busy = c.busy.saturating_sub(self.busy_of[t.0]);
-            let ks = &mut self.per_kernel[task.kernel.0];
-            ks.items_per_device[dev.0] -= task.items;
-            ks.tasks_per_device[dev.0] -= 1;
-            let f = self.faults.as_mut().unwrap();
-            f.counters.reexecutions += 1;
-            // As with kills, the fault loss inside `busy_of` was already
-            // booked at dispatch.
-            f.counters.time_lost += self.busy_of[t.0].saturating_sub(f.booked_loss[t.0]);
-            // Blame mirror: the whole discarded span becomes fault loss
-            // (its fault component was already booked at dispatch).
-            self.unblame(t, dev);
-            let extra = self.busy_of[t.0].saturating_sub(self.cost_of[t.0].fault);
-            self.blame[dev.0].fault_loss += extra;
+            let lost = self.take_back(t, dev, self.recs[t.0].cost.busy(), true);
+            self.charge_fault_loss(dev, lost);
+            self.faults.as_mut().unwrap().counters.reexecutions += 1;
         }
         // Everything the dropout un-ran loses its placement: from here on
         // "placed" again means queued, in flight, or completed.
         for &t in drained.iter().chain(&killed).chain(&resets) {
-            self.placements[t.0] = None;
+            self.recs[t.0].life = Life::Waiting;
         }
         // Re-arm the dependences the resets had satisfied. Every consumer
         // regains an unsatisfied dependence — the reset producer's
         // re-completion will decrement it again — but only consumers that
         // have not run yet go back to unready: a successor that already
         // started read the data while it was still valid, so its result
-        // stands (the placement guard in `on_task_done` keeps it from
-        // being re-bound when the count returns to zero).
+        // stands (the `Waiting` guard in `release_and_advance` keeps it
+        // from being re-bound when the count returns to zero).
         for &t in &resets {
             for s in self.graph.succs[t.0].clone() {
-                let ran =
-                    self.completed[s.0] || self.faults.as_ref().is_some_and(|f| f.in_flight[s.0]);
-                if !ran && self.placements[s.0].is_some() {
+                let rec = &mut self.recs[s.0];
+                rec.preds_left += 1;
+                if let Life::Queued(_) = rec.life {
                     // A bound-but-unstarted consumer goes back to unready.
+                    rec.life = Life::Waiting;
                     for q in &mut self.dev_queues {
                         q.retain(|&x| x != s);
                     }
-                    self.placements[s.0] = None;
                 }
-                self.remaining_preds[s.0] += 1;
             }
         }
 
@@ -1842,7 +1856,7 @@ impl<'a> Sim<'a> {
         // Survivor re-planning: rebalance the remaining epochs over the
         // live device set (and rebind other devices' queues) before the
         // dead device's own work is re-bound below, so step 5's
-        // `make_ready` already sees the repaired overrides.
+        // `make_ready` already sees the repaired re-pins.
         self.plan_repair(dev, false);
 
         // 5. Re-bind everything that is still dependency-free, in TaskId
@@ -1852,7 +1866,7 @@ impl<'a> Sim<'a> {
             .into_iter()
             .chain(drained)
             .chain(resets)
-            .filter(|t| self.remaining_preds[t.0] == 0)
+            .filter(|t| self.recs[t.0].preds_left == 0)
             .collect();
         requeue.sort_unstable();
         requeue.dedup();
@@ -1862,27 +1876,15 @@ impl<'a> Sim<'a> {
         self.dispatch_all();
     }
 
-    /// Devices no new binding may target: dead, or with an open/half-open
-    /// circuit (half-open devices keep their existing bindings as probe
-    /// candidates but are not fallback targets).
-    fn unavailable(&self) -> Vec<bool> {
-        let mut v: Vec<bool> = match &self.faults {
-            Some(f) => f.dead.clone(),
-            None => vec![false; self.platform.devices.len()],
-        };
-        if let Some(h) = &self.health {
-            for (i, s) in h.state.iter().enumerate() {
-                if *s != BreakerState::Closed {
-                    v[i] = true;
-                }
-            }
-        }
-        v
+    /// Charge `lost` slot time on `dev` as fault loss.
+    fn charge_fault_loss(&mut self, dev: DeviceId, lost: SimTime) {
+        self.faults.as_mut().unwrap().counters.time_lost += lost;
+        self.blame[dev.0].fault_loss += lost;
     }
 
     /// Fold one good/bad observation of `dev` into its EWMA health score
     /// and the circuit breaker. `task` identifies the observation's source
-    /// for half-open probe matching.
+    /// for probe matching.
     fn observe(&mut self, dev: DeviceId, good: bool, task: Option<TaskId>) {
         enum Action {
             None,
@@ -1902,18 +1904,13 @@ impl<'a> Sim<'a> {
             } else {
                 h.consecutive_bad[dev.0] += 1;
             }
-            match (h.config.breaker, h.state[dev.0]) {
-                (Some(b), BreakerState::Closed)
-                    if !good
-                        && h.consecutive_bad[dev.0] >= b.trip_after
-                        && dev.0 != 0
-                        && !self.faults.as_ref().is_some_and(|f| f.dead[dev.0]) =>
+            match (h.config.breaker, self.dev_state[dev.0]) {
+                (Some(b), DevState::Up)
+                    if !good && h.consecutive_bad[dev.0] >= b.trip_after && dev.0 != 0 =>
                 {
                     Action::Trip(b.cooldown)
                 }
-                (Some(b), BreakerState::HalfOpen)
-                    if task.is_some() && h.probe_task[dev.0] == task =>
-                {
+                (Some(b), DevState::Probing(probe)) if task.is_some() && probe == task => {
                     if good {
                         Action::Close
                     } else {
@@ -1927,9 +1924,8 @@ impl<'a> Sim<'a> {
             Action::None => {}
             Action::Trip(cooldown) => self.trip_breaker(dev, cooldown),
             Action::Close => {
+                self.dev_state[dev.0] = DevState::Up;
                 let h = self.health.as_mut().unwrap();
-                h.state[dev.0] = BreakerState::Closed;
-                h.probe_task[dev.0] = None;
                 h.consecutive_bad[dev.0] = 0;
                 h.report.circuit_closes += 1;
                 if let Some(span) = h
@@ -1958,11 +1954,7 @@ impl<'a> Sim<'a> {
                 }
             }
             Action::Reopen(cooldown) => {
-                {
-                    let h = self.health.as_mut().unwrap();
-                    h.state[dev.0] = BreakerState::Open;
-                    h.probe_task[dev.0] = None;
-                }
+                self.dev_state[dev.0] = DevState::Quarantined;
                 self.queue
                     .push(self.now + cooldown, Ev::CircuitProbe { dev });
                 self.drain_and_rebind(dev);
@@ -1974,10 +1966,9 @@ impl<'a> Sim<'a> {
     /// and redirect its queued (unstarted) work. In-flight work finishes —
     /// quarantine is not a dropout.
     fn trip_breaker(&mut self, dev: DeviceId, cooldown: SimTime) {
+        self.dev_state[dev.0] = DevState::Quarantined;
         {
             let h = self.health.as_mut().unwrap();
-            h.state[dev.0] = BreakerState::Open;
-            h.probe_task[dev.0] = None;
             h.report.circuit_opens += 1;
             h.report.quarantine.push(QuarantineSpan {
                 dev,
@@ -1992,7 +1983,7 @@ impl<'a> Sim<'a> {
         self.queue
             .push(self.now + cooldown, Ev::CircuitProbe { dev });
         // Survivor re-planning before the naive drain: a successful repair
-        // rebinds every queue (including `dev`'s) under the new overrides,
+        // rebinds every queue (including `dev`'s) under the new re-pins,
         // leaving the drain below nothing to redirect.
         self.plan_repair(dev, false);
         self.drain_and_rebind(dev);
@@ -2003,7 +1994,7 @@ impl<'a> Sim<'a> {
     fn drain_and_rebind(&mut self, dev: DeviceId) {
         let drained: Vec<TaskId> = self.dev_queues[dev.0].drain(..).collect();
         for &t in &drained {
-            self.placements[t.0] = None;
+            self.recs[t.0].life = Life::Waiting;
         }
         for t in drained {
             self.make_ready(t);
@@ -2011,43 +2002,21 @@ impl<'a> Sim<'a> {
     }
 
     /// Cool-down elapsed: half-open the circuit and let one probe through.
+    /// A device that died while quarantined stays dead.
     fn on_circuit_probe(&mut self, dev: DeviceId) {
-        if self.faults.as_ref().is_some_and(|f| f.dead[dev.0]) {
-            return; // died while quarantined; the circuit stays open
-        }
-        let Some(h) = self.health.as_mut() else {
-            return;
-        };
-        if h.state[dev.0] != BreakerState::Open {
+        if self.dev_state[dev.0] != DevState::Quarantined {
             return;
         }
-        h.state[dev.0] = BreakerState::HalfOpen;
-        h.probe_task[dev.0] = None;
+        self.dev_state[dev.0] = DevState::Probing(None);
         self.dispatch(dev);
     }
 
-    /// The watchdog's deadline passed with the attempt still running:
+    /// The watchdog's deadline passed with attempt `a` still running:
     /// record a straggle observation and (if configured) launch a hedged
     /// duplicate on the best other device.
-    fn on_watchdog_fire(&mut self, t: TaskId, started: SimTime) {
-        let live = self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.in_flight[t.0] && f.started_at[t.0] == started);
-        if !live {
-            return;
-        }
-        let Some(primary) = self.placements[t.0] else {
-            return;
-        };
-        {
-            let h = self.health.as_mut().unwrap();
-            if h.straggled[t.0] || h.hedge[t.0].is_some() {
-                return;
-            }
-            h.straggled[t.0] = true;
-        }
-        self.observe(primary, false, Some(t));
+    fn on_watchdog_fire(&mut self, t: TaskId, a: Attempt) {
+        self.attempt_mut(t).straggled = true;
+        self.observe(a.dev, false, Some(t));
         let hedging = self
             .health
             .as_ref()
@@ -2058,16 +2027,15 @@ impl<'a> Sim<'a> {
         if !hedging {
             return;
         }
-        // Best live, closed peer with a free slot: minimum throttled
-        // execution estimate. The duplicate re-reads the inputs the
-        // primary already staged, so transfers are not re-charged, and it
-        // samples no faults of its own (see the module docs).
-        let unavail = self.unavailable();
+        // Best up peer with a free slot: minimum throttled execution
+        // estimate. The duplicate re-reads the inputs the primary already
+        // staged, so transfers are not re-charged, and it samples no faults
+        // of its own (see the module docs).
         let task = self.tasks[t.0];
         let profile = &self.program.kernels[task.kernel.0].profile;
         let mut best: Option<(SimTime, DeviceId)> = None;
         for d in &self.platform.devices {
-            if d.id == primary || unavail[d.id.0] || self.free_slots[d.id.0] == 0 {
+            if d.id == a.dev || self.unavailable(d.id) || self.free_slots[d.id.0] == 0 {
                 continue;
             }
             let base = d.exec_time_weighted(profile, task.items, task.cost_scale);
@@ -2083,14 +2051,16 @@ impl<'a> Sim<'a> {
             return;
         };
         let hedge_end = self.now + cost;
-        let primary_end = self.faults.as_ref().unwrap().started_at[t.0] + self.busy_of[t.0];
+        let primary_end = a.started + self.recs[t.0].cost.busy();
         self.free_slots[peer.0] -= 1;
         // First finisher wins, and both finish times are known here.
         let winner = hedge_end < primary_end;
         if winner {
-            let f = self.faults.as_mut().unwrap();
-            f.gen[t.0] += 1; // invalidate the straggling primary's completion
-            let gen = f.gen[t.0];
+            // A fresh generation silences the straggling primary's
+            // completion; only the hedge's completion carries it.
+            self.gen += 1;
+            let gen = self.gen;
+            self.attempt_mut(t).gen = gen;
             self.queue.push(
                 hedge_end,
                 Ev::HedgeDone {
@@ -2100,84 +2070,62 @@ impl<'a> Sim<'a> {
                 },
             );
         }
-        let h = self.health.as_mut().unwrap();
-        h.report.hedges_issued += 1;
-        h.hedge[t.0] = Some(Hedge {
+        self.attempt_mut(t).hedge = Some(Hedge {
             peer,
             launched: self.now,
             winner,
         });
+        self.health.as_mut().unwrap().report.hedges_issued += 1;
         route_event(
             &mut *self.obs,
             &TraceEvent::HedgeLaunched {
                 task: t,
-                from: primary,
+                from: a.dev,
                 to: peer,
                 at: self.now,
             },
         );
     }
 
-    /// A winning hedged duplicate finished: cancel the straggling primary
-    /// mid-attempt, commit the result on the peer, and complete the task.
-    fn on_hedge_done(&mut self, t: TaskId, peer: DeviceId) {
-        let hd = self.health.as_mut().unwrap().hedge[t.0]
-            .take()
-            .expect("hedge event implies an active hedge");
-        let primary = self.placements[t.0].expect("hedged task was placed");
+    /// Attempt `a`'s winning hedged duplicate `hd` finished: cancel the
+    /// straggling primary mid-attempt, commit the result on the peer, and
+    /// complete the task.
+    fn on_hedge_done(&mut self, t: TaskId, a: Attempt, hd: Hedge) {
+        let (primary, peer) = (a.dev, hd.peer);
         let task = self.tasks[t.0];
-        // Reverse the primary's dispatch accounting; the slot span it
-        // actually occupied is charged (net of fault losses already booked
-        // to `time_lost`) to `time_hedged`.
-        let span_primary;
-        {
-            let f = self.faults.as_mut().unwrap();
-            span_primary = self.now.saturating_sub(f.started_at[t.0]);
-            f.in_flight[t.0] = false;
-            f.suppress_complete[t.0] = true;
-            f.corrupt[t.0] = false; // the primary's result is discarded
-            let c = &mut self.counters.devices[primary.0];
-            c.busy = c.busy.saturating_sub(self.busy_of[t.0]) + span_primary;
-            if f.recorded[t.0] {
-                c.tasks -= 1;
-                c.items -= task.items;
-                let ks = &mut self.per_kernel[task.kernel.0];
-                ks.items_per_device[primary.0] -= task.items;
-                ks.tasks_per_device[primary.0] -= 1;
-            }
-        }
+        // Take back the primary's dispatch; the slot span it actually
+        // burned (net of its booked fault loss) is hedge waste.
+        let span_primary = self.now.saturating_sub(a.started);
+        let waste = self.take_back(t, primary, span_primary, a.recorded);
+        self.counters.devices[primary.0].busy += span_primary;
+        self.blame[primary.0].hedge_waste += waste;
         {
             let h = self.health.as_mut().unwrap();
             h.report.hedges_won += 1;
-            h.report.time_hedged +=
-                span_primary.saturating_sub(self.faults.as_ref().unwrap().booked_loss[t.0]);
+            h.report.time_hedged += waste;
         }
-        // Blame mirror: reverse the primary's categorized charges; the slot
-        // span it actually burned (net of booked fault loss) is hedge
-        // waste, matching `time_hedged`.
-        self.unblame(t, primary);
-        self.blame[primary.0].hedge_waste += span_primary.saturating_sub(self.cost_of[t.0].fault);
         self.free_slots[primary.0] += 1;
         self.dev_last_done[primary.0] = self.dev_last_done[primary.0].max(self.now);
-        // Commit the duplicate's result on the peer.
+        // Commit the duplicate's result on the peer. The committed dispatch
+        // is now the peer's span, all of it useful execution — a later
+        // take-back reverses exactly that. The primary's result is
+        // discarded, and with it any corruption.
         let hspan = self.now.saturating_sub(hd.launched);
         self.counters.record_task(peer, task.items, hspan);
         let ks = &mut self.per_kernel[task.kernel.0];
         ks.items_per_device[peer.0] += task.items;
         ks.tasks_per_device[peer.0] += 1;
-        self.busy_of[t.0] = hspan;
-        self.exec_of[t.0] = hspan;
-        // The committed dispatch is now the peer's span, all of it useful
-        // execution — a later rollback reverses exactly that.
-        self.cost_of[t.0] = TaskCost {
+        let rec = &mut self.recs[t.0];
+        rec.cost = TaskCost {
             exec: hspan,
             ..TaskCost::default()
         };
+        rec.suppress_complete = true;
+        rec.corrupt = false;
+        rec.life = Life::Done(peer);
         self.blame[peer.0].compute += hspan;
-        self.placements[t.0] = Some(peer);
         self.free_slots[peer.0] += 1;
         self.dev_last_done[peer.0] = self.dev_last_done[peer.0].max(self.now);
-        self.completed[t.0] = true;
         route_event(
             &mut *self.obs,
             &TraceEvent::Task {
@@ -2249,13 +2197,14 @@ impl<'a> Sim<'a> {
             if !sampled {
                 continue;
             }
-            let placed = self.placements[t.0].expect("epoch task completed");
-            let unavail = self.unavailable();
+            let Life::Done(placed) = self.recs[t.0].life else {
+                panic!("epoch task {} completed", t.0);
+            };
             let task = self.tasks[t.0];
             let profile = &self.program.kernels[task.kernel.0].profile;
             let mut best: Option<(SimTime, DeviceId)> = None;
             for d in &self.platform.devices {
-                if d.id == placed || unavail[d.id.0] {
+                if d.id == placed || self.unavailable(d.id) {
                     continue;
                 }
                 let base = d.exec_time_weighted(profile, task.items, task.cost_scale);
@@ -2276,7 +2225,7 @@ impl<'a> Sim<'a> {
             let h = self.health.as_mut().unwrap();
             h.report.tasks_verified += 1;
             h.report.time_verifying += cost;
-            if self.faults.as_ref().is_some_and(|f| f.corrupt[t.0]) {
+            if self.recs[t.0].corrupt {
                 any = true;
                 h.report.corruptions_detected += 1;
                 route_event(
@@ -2290,7 +2239,8 @@ impl<'a> Sim<'a> {
                 bad_obs.push((placed, t));
             }
         }
-        let verify_end = cursors.into_iter().max().unwrap_or(self.now);
+        let verify_end = cursors.iter().copied().max().unwrap_or(self.now);
+        self.health.as_mut().unwrap().verified_until = cursors;
         for (dev, t) in bad_obs {
             self.observe(dev, false, Some(t));
         }
@@ -2316,30 +2266,23 @@ impl<'a> Sim<'a> {
         }
         let epoch_tasks = self.epochs[self.cur_epoch].clone();
         for &t in &epoch_tasks {
-            let dev = self.placements[t.0].expect("epoch task completed");
-            let task = self.tasks[t.0];
-            self.completed[t.0] = false;
-            let c = &mut self.counters.devices[dev.0];
-            c.tasks -= 1;
-            c.items -= task.items;
-            c.busy = c.busy.saturating_sub(self.busy_of[t.0]);
-            let ks = &mut self.per_kernel[task.kernel.0];
-            ks.items_per_device[dev.0] -= task.items;
-            ks.tasks_per_device[dev.0] -= 1;
-            // Blame mirror: the reversed dispatch's physical span stays on
-            // the device as rollback loss (already-booked fault loss keeps
-            // its category).
-            self.unblame(t, dev);
-            self.blame[dev.0].rollback += self.busy_of[t.0].saturating_sub(self.cost_of[t.0].fault);
-            let f = self.faults.as_mut().unwrap();
-            f.corrupt[t.0] = false;
-            self.placements[t.0] = None;
+            let Life::Done(dev) = self.recs[t.0].life else {
+                panic!("epoch task {} completed", t.0);
+            };
+            // The taken-back dispatch's physical span stays on the device
+            // as rollback loss (already-booked fault loss keeps its
+            // category).
+            let lost = self.take_back(t, dev, self.recs[t.0].cost.busy(), true);
+            self.blame[dev.0].rollback += lost;
+            let rec = &mut self.recs[t.0];
+            rec.corrupt = false;
+            rec.life = Life::Waiting;
         }
         // Re-arm every dependence the epoch's completions had satisfied;
         // re-completions will satisfy them again.
         for &t in &epoch_tasks {
             for s in self.graph.succs[t.0].clone() {
-                self.remaining_preds[s.0] += 1;
+                self.recs[s.0].preds_left += 1;
             }
         }
         for d in &self.platform.devices {
@@ -2354,7 +2297,7 @@ impl<'a> Sim<'a> {
             a.epoch_busy.fill(SimTime::ZERO);
         }
         for t in epoch_tasks {
-            if self.remaining_preds[t.0] == 0 {
+            if self.recs[t.0].preds_left == 0 {
                 self.make_ready(t);
             }
         }
@@ -2467,14 +2410,13 @@ impl<'a> Sim<'a> {
     /// ([`Sim::nway_rebalance`]; a CPU+GPU platform is simply N = 2) and
     /// report the split the next epoch will run with.
     fn repartition(&mut self) {
-        let unavail = self.unavailable();
-        let targets = self.live_devices(&unavail);
-        let rebalance = self.nway_rebalance(&targets, &unavail, false);
+        let targets = self.live_devices();
+        let rebalance = self.nway_rebalance(&targets, false);
         let Some(next) = rebalance.next.filter(|_| !rebalance.moves.is_empty()) else {
             return;
         };
         for &(t, d) in &rebalance.moves {
-            self.repin(t, d);
+            self.recs[t.0].repin = Some(Repin::Adapt(d));
         }
         let a = self.adapt.as_mut().unwrap();
         a.report.repartitions += 1;
@@ -2491,23 +2433,22 @@ impl<'a> Sim<'a> {
     }
 
     /// The devices a new binding may target (see [`Sim::unavailable`]).
-    fn live_devices(&self, unavail: &[bool]) -> Vec<DeviceId> {
+    fn live_devices(&self) -> Vec<DeviceId> {
         self.platform
             .devices
             .iter()
-            .filter(|d| !unavail[d.id.0])
+            .filter(|d| !self.unavailable(d.id))
             .map(|d| d.id)
             .collect()
     }
 
-    /// Where the static plan homes `t` now: a survivor re-plan's re-pin,
-    /// else an adaptation decision's, else the plan's own pin (`None` for
-    /// a dynamically bound task).
+    /// Where the static plan homes `t` now: the latest placement
+    /// decision's re-pin, else the plan's own pin (`None` for a
+    /// dynamically bound task).
     fn static_home(&self, t: TaskId) -> Option<DeviceId> {
-        self.replan
-            .as_ref()
-            .and_then(|r| r.override_of[t.0])
-            .or_else(|| self.adapt.as_ref().and_then(|a| a.override_of[t.0]))
+        self.recs[t.0]
+            .repin
+            .map(Repin::dev)
             .or(self.tasks[t.0].pinned)
     }
 
@@ -2519,21 +2460,6 @@ impl<'a> Sim<'a> {
             || vec![1.0; self.platform.devices.len()],
             Calibration::scale,
         )
-    }
-
-    /// Re-pin the not-yet-placed chunk `t` to `d` for an adaptation
-    /// decision (barrier repartition or de-escalation). The decision
-    /// supersedes an earlier survivor re-plan's pin of the same chunk,
-    /// which the binder would otherwise read first; the chunk then binds
-    /// as a rebalanced static chunk and no longer pays the re-plan's
-    /// per-decision overhead.
-    fn repin(&mut self, t: TaskId, d: DeviceId) {
-        if let Some(a) = self.adapt.as_mut() {
-            a.override_of[t.0] = Some(d);
-        }
-        if let Some(r) = self.replan.as_mut() {
-            r.override_of[t.0] = None;
-        }
     }
 
     /// The rebalancer's price, in seconds, of running chunk `t` on `d`
@@ -2595,12 +2521,7 @@ impl<'a> Sim<'a> {
     /// model predicts a wall smaller by [`NWAY_GUARD_MARGIN`]. An exact tie
     /// between candidate devices is broken by a coin from the replan stream
     /// (`use_replan_stream`) or the adaptation stream.
-    fn nway_rebalance(
-        &mut self,
-        targets: &[DeviceId],
-        unavail: &[bool],
-        use_replan_stream: bool,
-    ) -> Rebalance {
+    fn nway_rebalance(&mut self, targets: &[DeviceId], use_replan_stream: bool) -> Rebalance {
         struct Chunk {
             t: TaskId,
             items: u64,
@@ -2611,7 +2532,7 @@ impl<'a> Sim<'a> {
             naive: usize,
         }
         let scale = self.model_scale();
-        let fallback = fallback_device(self.platform, unavail, None);
+        let fallback = fallback_device(self.platform, &self.dev_state, None);
         let fb_idx = targets.iter().position(|&d| d == fallback).unwrap_or(0);
         let slots_of: Vec<usize> = targets
             .iter()
@@ -2621,13 +2542,14 @@ impl<'a> Sim<'a> {
         for epoch in self.epochs.iter().skip(self.cur_epoch) {
             let mut chunks: Vec<Chunk> = Vec::new();
             for &t in epoch {
-                if self.completed[t.0] || self.faults.as_ref().is_some_and(|f| f.in_flight[t.0]) {
+                let life = self.recs[t.0].life;
+                if matches!(life, Life::Running(_) | Life::Done(_)) {
                     continue;
                 }
-                let Some(cur) = self.placements[t.0].or_else(|| self.static_home(t)) else {
+                let Some(cur) = life.placed().or_else(|| self.static_home(t)) else {
                     continue; // dynamically bound: the scheduler re-places it
                 };
-                let naive = if unavail[cur.0] {
+                let naive = if self.unavailable(cur) {
                     fb_idx
                 } else {
                     targets.iter().position(|&d| d == cur).unwrap_or(fb_idx)
@@ -2752,8 +2674,7 @@ impl<'a> Sim<'a> {
             }
             return false;
         }
-        let unavail = self.unavailable();
-        let targets = self.live_devices(&unavail);
+        let targets = self.live_devices();
         if targets.is_empty() {
             let r = self.replan.as_mut().unwrap();
             if r.error.is_none() {
@@ -2761,30 +2682,21 @@ impl<'a> Sim<'a> {
             }
             return false;
         }
-        let moves = self.nway_rebalance(&targets, &unavail, true).moves;
+        let moves = self.nway_rebalance(&targets, true).moves;
         if moves.is_empty() {
             // No-regression guard: the naive failover was predicted no
             // worse, so the standing bindings (and the guard's fallback
             // redirects) stay.
             return false;
         }
-        {
-            let r = self.replan.as_mut().unwrap();
-            for &(t, d) in &moves {
-                r.override_of[t.0] = Some(d);
-            }
-            if heal {
-                r.readmissions += 1;
-            } else {
-                r.replans += 1;
-            }
+        for &(t, d) in &moves {
+            self.recs[t.0].repin = Some(Repin::Repair(d));
         }
-        // Mirror the moves into the repartition override map so a later
-        // barrier rebalance starts from the applied assignment.
-        if let Some(a) = self.adapt.as_mut() {
-            for &(t, d) in &moves {
-                a.override_of[t.0] = Some(d);
-            }
+        let r = self.replan.as_mut().unwrap();
+        if heal {
+            r.readmissions += 1;
+        } else {
+            r.replans += 1;
         }
         self.rebind_queued();
         let moved = moves.len() as u64;
@@ -2806,7 +2718,7 @@ impl<'a> Sim<'a> {
     }
 
     /// Drain every device queue and re-bind the drained chunks in TaskId
-    /// order so freshly written repair overrides take effect immediately.
+    /// order so freshly written repair re-pins take effect immediately.
     /// In-flight work is untouched — a migration never cancels running
     /// work, it only re-homes work that has not started.
     fn rebind_queued(&mut self) {
@@ -2816,7 +2728,7 @@ impl<'a> Sim<'a> {
         }
         requeue.sort_unstable();
         for &t in &requeue {
-            self.placements[t.0] = None;
+            self.recs[t.0].life = Life::Waiting;
         }
         for t in requeue {
             self.make_ready(t);
@@ -2862,7 +2774,7 @@ impl<'a> Sim<'a> {
         // The plan pins its GPU share to the primary accelerator; without a
         // plan, or with that accelerator dead, there is nothing to reinstate.
         let gpu_dead = match (&self.adapt.as_ref().unwrap().plan, self.platform.gpu()) {
-            (Some(_), Some(g)) => self.faults.as_ref().is_some_and(|f| f.dead[g.id.0]),
+            (Some(_), Some(g)) => matches!(self.dev_state[g.id.0], DevState::Dead(_)),
             _ => true,
         };
         let calm = {
@@ -2885,15 +2797,14 @@ impl<'a> Sim<'a> {
             return;
         }
         let dynamic_wall = self.closing_epoch_wall();
-        let unavail = self.unavailable();
-        let targets = self.live_devices(&unavail);
-        let rebalance = self.nway_rebalance(&targets, &unavail, false);
+        let targets = self.live_devices();
+        let rebalance = self.nway_rebalance(&targets, false);
         if rebalance.next.is_some_and(|next| next.wall > dynamic_wall) {
             self.adapt.as_mut().unwrap().calm_barriers = 0;
             return;
         }
         for &(t, d) in &rebalance.moves {
-            self.repin(t, d);
+            self.recs[t.0].repin = Some(Repin::Adapt(d));
         }
         let a = self.adapt.as_mut().unwrap();
         a.escalated = None;
@@ -2920,7 +2831,6 @@ impl<'a> Sim<'a> {
     /// candidate assignment.
     fn closing_epoch_wall(&self) -> f64 {
         let scale = self.model_scale();
-        let a = self.adapt.as_ref().unwrap();
         let mut order = self.epochs[self.cur_epoch].clone();
         order.sort_by_key(|t| (std::cmp::Reverse(self.tasks[t.0].items), *t));
         let mut loads: Vec<Vec<f64>> = self
@@ -2930,12 +2840,12 @@ impl<'a> Sim<'a> {
             .map(|d| vec![0.0; d.spec.kind.slots().max(1)])
             .collect();
         for t in order {
-            let Some(dev) = self.placements[t.0] else {
+            let Some(dev) = self.recs[t.0].life.placed() else {
                 continue;
             };
             let home = self.static_home(t).unwrap_or(dev);
             let mut cost = self.chunk_cost(t, dev, home, &scale);
-            if a.bound_by_escalated[t.0] {
+            if self.recs[t.0].by_escalated {
                 cost += self.platform.sched_overhead.as_secs_f64();
             }
             lpt_push(&mut loads[dev.0], cost);
@@ -2969,14 +2879,21 @@ impl<'a> Sim<'a> {
         let placements: Vec<(usize, usize)> = self.epochs[epoch]
             .iter()
             .map(|t| {
-                let dev = self.placements[t.0].expect("flushed epoch tasks are placed");
+                let dev = self.recs[t.0]
+                    .life
+                    .placed()
+                    .expect("flushed epoch tasks are placed");
                 (t.0, dev.0)
             })
             .collect();
         let record = EpochRecord {
             epoch,
             at: self.now,
-            completed: self.completed.iter().filter(|&&c| c).count() as u64,
+            completed: self
+                .recs
+                .iter()
+                .filter(|r| matches!(r.life, Life::Done(_)))
+                .count() as u64,
             placements,
             rng: RngCursors {
                 fault: self.faults.as_ref().map(|f| f.rng.cursor()),

@@ -61,6 +61,10 @@ pub enum OracleKind {
     /// typed `ServiceError` — never a silent drop, a duplicate, or a
     /// hang, and two same-seed runs answer byte-identically.
     ShedOrServe,
+    /// The oracle bank runs every scenario to a verdict: a panic anywhere
+    /// in it (an executor assert, a lost event) is caught and reported with
+    /// its message, then shrunk and archived like any other violation.
+    NoPanic,
 }
 
 impl OracleKind {
@@ -77,6 +81,7 @@ impl OracleKind {
             OracleKind::CrashResumeEquivalence => "crash-resume-equivalence",
             OracleKind::StreamFoldEquivalence => "stream-fold-equivalence",
             OracleKind::ShedOrServe => "shed-or-serve",
+            OracleKind::NoPanic => "no-panic",
         }
     }
 }

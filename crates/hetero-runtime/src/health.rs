@@ -191,19 +191,6 @@ impl Default for HealthConfig {
     }
 }
 
-/// Circuit-breaker state of one device.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BreakerState {
-    /// Healthy: the device accepts work.
-    #[default]
-    Closed,
-    /// Quarantined: new bindings redirect to survivors.
-    Open,
-    /// Cool-down elapsed: one probe task is let through; a clean probe
-    /// closes the circuit, a bad one re-opens it.
-    HalfOpen,
-}
-
 /// One quarantine interval of one device. `until` is `None` while the
 /// device is still quarantined when the run ends.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]

@@ -73,8 +73,7 @@ pub use executor::{
 pub use fuzz::{check_blame_identity, check_identical, report_digest, OracleKind, OracleViolation};
 pub use graph::TaskGraph;
 pub use health::{
-    BreakerConfig, BreakerState, HealthConfig, HealthReport, QuarantineSpan, VerificationPolicy,
-    WatchdogConfig,
+    BreakerConfig, HealthConfig, HealthReport, QuarantineSpan, VerificationPolicy, WatchdogConfig,
 };
 pub use interval::{Interval, IntervalMap, IntervalSet};
 pub use journal::{

@@ -227,7 +227,7 @@ pub enum TraceEvent {
         /// When the repair was applied.
         at: SimTime,
     },
-    /// A healing re-plan readmitted a reclosed (HalfOpen→Closed) device
+    /// A healing re-plan readmitted a reclosed (probing → up) device
     /// into the surviving split.
     DeviceReadmitted {
         /// The readmitted device.

@@ -13,10 +13,10 @@
 //! 2. a **breaker reclose**: a flaky GPU is quarantined, probed after the
 //!    cool-down, and — once clean — *readmitted* by the symmetric healing
 //!    re-plan, which migrates the chunks stranded on the host back;
-//! 3. the **planner-level API**: `Planner::replan_surviving` keeping the
-//!    strategy over a shrunken accelerator set, downgrading to Only-CPU
-//!    when only the host survives, and the typed errors for survivor sets
-//!    it cannot plan for;
+//! 3. what the executor's repair **records** in `AdaptReport`: applied
+//!    survivor re-plans, healing readmissions, and the typed error of a
+//!    repair it refused — here a spent budget — after which the run falls
+//!    back to chunk-by-chunk failover;
 //! 4. byte-for-byte **determinism** of the repaired runs, and the `replan`
 //!    blame component accounting for the repair's cost.
 //!
@@ -26,7 +26,7 @@
 
 use hetero_match::apps::blackscholes;
 use hetero_match::matchmaker::{
-    Analyzer, ExecutionConfig, Planner, ReplanConfig, ReplanError, RunSpec, Strategy,
+    Analyzer, ExecutionConfig, ReplanConfig, ReplanError, RunSpec, Strategy,
 };
 use hetero_match::platform::{
     DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, RetryPolicy, SimTime,
@@ -237,53 +237,47 @@ fn main() {
         "readmitting the healed GPU must beat leaving its work stranded"
     );
 
-    // --- 3. The planner-level API: downgrade and typed errors ------------
-    let planner = Planner::new(&platform);
-    let two_way = planner
-        .replan_surviving(
-            &desc,
-            config,
-            &[DeviceId(0), DeviceId(2)],
-            None,
-            &[None, None],
-        )
-        .expect("host + coprocessor is plannable");
-    let host_only = planner
-        .replan_surviving(&desc, config, &[DeviceId(0)], None, &[None, None])
-        .expect("the host alone is plannable");
-    let nobody = planner
-        .replan_surviving(&desc, config, &[], None, &[None, None])
-        .expect_err("an empty survivor set is not plannable");
-    let headless = planner
-        .replan_surviving(
-            &desc,
-            config,
-            &[DeviceId(1), DeviceId(2)],
-            None,
-            &[None, None],
-        )
-        .expect_err("a survivor set without the host is not plannable");
-    println!("\n3. Planner::replan_surviving on the degraded platform:");
-    let multi = two_way.multi.as_ref().expect("one accelerator re-solved");
-    println!(
-        "   host + coprocessor   : {} survives over {} accelerator(s) (CPU {} / coprocessor {} items)",
-        two_way.config,
-        two_way.accels.len(),
-        multi.cpu_items,
-        multi.accel_items.iter().sum::<u64>()
+    // --- 3. What the executor's repair records ---------------------------
+    // Every repairing run reports the repairs it applied and, when it
+    // refused one, why. Part 1's GPU death again, with the coprocessor
+    // dying too and a budget of a single repair: the first death's
+    // survivor re-plan spends it, so the second death's repair is refused
+    // with a typed error and the run falls back to chunk-by-chunk failover.
+    let second_death = SimTime::from_secs_f64(0.6 * healthy.makespan.as_secs_f64());
+    let one_repair = RunSpec::repairing(
+        schedule.clone().with_dropout(DeviceId(2), second_death),
+        health,
+        AdaptConfig::disabled(),
+        ReplanConfig {
+            max_replans: 1,
+            ..ReplanConfig::enabled_default()
+        },
     );
-    println!(
-        "   host only            : downgraded to {}, {} accelerator(s)",
-        host_only.config,
-        host_only.accels.len()
+    let capped = analyzer
+        .run(&desc, config, &one_repair, &mut NullObserver, None)
+        .expect("an unjournaled run cannot fail");
+    println!("\n3. what the executor's repair records (AdaptReport):");
+    for (label, report) in [
+        ("GPU death", &repaired),
+        ("healing reclose", &healed),
+        ("coprocessor dies too", &capped),
+    ] {
+        let error = report
+            .adapt
+            .replan_error
+            .as_ref()
+            .map_or_else(|| "none".to_string(), ReplanError::to_string);
+        println!(
+            "   {label:<20} : {} replan(s), {} readmission(s), error: {error}  ({})",
+            report.adapt.replans, report.adapt.readmissions, report.makespan
+        );
+    }
+    assert_eq!(capped.adapt.replans, 1, "the first death spends the budget");
+    assert_eq!(
+        capped.adapt.replan_error,
+        Some(ReplanError::BudgetExhausted { max_replans: 1 }),
+        "the spent budget must refuse the second repair"
     );
-    println!("   no survivors         : {nobody}");
-    println!("   host itself dead     : {headless}");
-    assert_eq!(two_way.config, config, "the strategy survives the re-solve");
-    assert!(matches!(host_only.config, ExecutionConfig::OnlyCpu));
-    assert!(host_only.multi.is_none());
-    assert!(matches!(nobody, ReplanError::NoSurvivingAccelerator));
-    assert!(matches!(headless, ReplanError::SolverInfeasible { .. }));
 
     // --- 4. Seeded repairs replay byte-for-byte --------------------------
     let replay = analyzer

@@ -61,16 +61,16 @@ fn fuzz_one_matches_campaign_verdict() {
     }
 }
 
-#[test]
-fn planted_blame_break_is_caught_shrunk_and_archived() {
-    let scratch = ScratchDir::new("blame");
+/// Run a 10-scenario campaign with `inject` planted and require the harness
+/// to catch it as `oracle`, shrink it to a <=5-task, <=2-device reproducer,
+/// and archive a scenario that still fails the same way — and is clean
+/// without the injection.
+fn assert_caught_shrunk_and_archived(tag: &str, inject: InjectedBreak, oracle: OracleKind) {
+    let scratch = ScratchDir::new(tag);
     let cfg = FuzzConfig {
         shrink: true,
         corpus: Some(scratch.0.clone()),
-        inject: InjectedBreak {
-            skip_blame_component: true,
-            ..InjectedBreak::NONE
-        },
+        inject,
         max_failures: 1,
         ..FuzzConfig::new(10, 0xC0FFEE)
     };
@@ -78,22 +78,40 @@ fn planted_blame_break_is_caught_shrunk_and_archived() {
     let f = report
         .failures
         .first()
-        .expect("planted blame break must be caught");
-    assert_eq!(f.oracle, OracleKind::BlameIdentity);
-    // The ISSUE acceptance bound: a <=5-task, <=2-device reproducer.
+        .unwrap_or_else(|| panic!("planted {oracle} break must be caught"));
+    assert_eq!(f.oracle, oracle);
+    // The self-check bound: a <=5-task, <=2-device reproducer.
     assert!(f.tasks <= 5, "want <=5 tasks, got {}", f.tasks);
     assert!(f.devices <= 2, "want <=2 devices, got {}", f.devices);
     // The archived reproducer loads back and still fails the same oracle.
     let corpus = load_corpus(&scratch.0);
     assert_eq!(corpus.len(), 1);
     let (_, entry) = &corpus[0];
-    assert_eq!(entry.oracle, Some(OracleKind::BlameIdentity));
+    assert_eq!(entry.oracle, Some(oracle));
     assert!(entry.scenario.is_valid());
     assert!(run_oracles(&entry.scenario, &cfg.inject)
         .iter()
-        .any(|v| v.oracle == OracleKind::BlameIdentity));
+        .any(|v| v.oracle == oracle));
     // And without the injection the reproducer is clean.
     assert!(run_oracles(&entry.scenario, &InjectedBreak::NONE).is_empty());
+}
+
+#[test]
+fn planted_blame_break_is_caught_shrunk_and_archived() {
+    let inject = InjectedBreak {
+        skip_blame_component: true,
+        ..InjectedBreak::NONE
+    };
+    assert_caught_shrunk_and_archived("blame", inject, OracleKind::BlameIdentity);
+}
+
+#[test]
+fn planted_panic_is_caught_shrunk_and_archived() {
+    let inject = InjectedBreak {
+        panic_in_bank: true,
+        ..InjectedBreak::NONE
+    };
+    assert_caught_shrunk_and_archived("panic", inject, OracleKind::NoPanic);
 }
 
 #[test]

@@ -6,14 +6,15 @@
 //! must terminate with every item processed exactly once, and identical
 //! fault schedules must replay identical executions.
 
-use hetero_match::matchmaker::{ExecutionConfig, Planner, Strategy};
+use hetero_match::matchmaker::{Analyzer, ExecutionConfig, Planner, Scenario, Strategy};
 use hetero_match::platform::{
     DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, RetryPolicy, SimTime,
 };
 use hetero_match::runtime::{
-    simulate, simulate_spec, Access, AdaptConfig, AdaptPlan, BreakerConfig, HealthConfig,
-    NullObserver, Observer, PinnedScheduler, Program, Region, ReplanConfig, RunReport, RunSpec,
-    Trace, TraceEvent, TraceObserver, VerificationPolicy, WatchdogConfig,
+    check_blame_identity, check_identical, simulate, simulate_spec, Access, AdaptConfig, AdaptPlan,
+    BreakerConfig, HealthConfig, NullObserver, Observer, OracleKind, PinnedScheduler, Program,
+    Region, ReplanConfig, RunReport, RunSpec, TaskId, Trace, TraceEvent, TraceObserver,
+    VerificationPolicy, WatchdogConfig,
 };
 use proptest::prelude::*;
 
@@ -785,6 +786,114 @@ fn death_while_quarantined_keeps_circuit_open() {
     assert_eq!(again.makespan, report.makespan);
     assert_eq!(again.health, report.health);
     assert_eq!(again.adapt, report.adapt);
+}
+
+/// Fuzz-found scenarios where the health layer lost track of a task or a
+/// device: each must complete under monitored health, keep every device's
+/// blame summing to its capacity, and replay identically.
+#[test]
+fn fuzz_found_health_layer_scenarios_complete_and_balance() {
+    let cases = [
+        (
+            0xac9c_8652_633e_984c_u64,
+            "the peer of a winning hedge dies before the hedge finishes",
+        ),
+        (
+            0x8e22_7be4_2e85_c148,
+            "a device dies while its circuit is half-open",
+        ),
+        (
+            0x3fad_b6bd_e928_5e98,
+            "a device dies inside the verification booked on it",
+        ),
+        (
+            0x200e_50c8_0377_6e6a,
+            "a hedge wins before the primary's sampled fault time",
+        ),
+    ];
+    for (seed, what) in cases {
+        let sc = Scenario::generate(seed);
+        let platform = sc.platform.build();
+        let analyzer = Analyzer::new(&platform);
+        let spec = RunSpec::resilient(sc.schedule.clone(), HealthConfig::monitored());
+        let run = || {
+            analyzer
+                .run(&sc.descriptor, sc.config, &spec, &mut NullObserver, None)
+                .unwrap_or_else(|e| panic!("{seed:#x} ({what}): {e}"))
+        };
+        let first = run();
+        check_blame_identity(&first).unwrap_or_else(|v| panic!("{seed:#x} ({what}): {v}"));
+        check_identical(OracleKind::DoubleRunDeterminism, what, &first, &run())
+            .unwrap_or_else(|v| panic!("{seed:#x} ({what}): {v}"));
+    }
+}
+
+/// A retry exhaustion that trips the breaker in a repairing run: the
+/// aborted task fails over by the retry policy, and the repair the trip
+/// triggers leaves it alone as it leaves all in-flight work. Here the GPU
+/// fails every attempt and its one chunk is the only GPU work, so nothing
+/// is queued for the repair to move: no repair is counted and no chunk
+/// pays the `replan` overhead.
+#[test]
+fn a_failover_the_breaker_trip_repairs_around_is_not_a_repair_move() {
+    let platform = Platform::icpp15_with_phi();
+    let desc = compute_app(1 << 16);
+    let planner = Planner::new(&platform);
+    let config = ExecutionConfig::Strategy(Strategy::SpSingle);
+    let plan = planner.plan(&desc, config);
+    let gpu_chunks: Vec<TaskId> = plan
+        .program
+        .tasks()
+        .iter()
+        .filter(|(_, t)| t.pinned == Some(DeviceId(1)))
+        .map(|&(id, _)| id)
+        .collect();
+    assert_eq!(gpu_chunks.len(), 1, "the setup needs exactly one GPU chunk");
+    let schedule = FaultSchedule::new(7).with_flaky(
+        DeviceId(1),
+        1.0,
+        SimTime::ZERO,
+        SimTime::from_secs_f64(1.0),
+    );
+    let health = HealthConfig {
+        breaker: Some(BreakerConfig {
+            trip_after: 1,
+            cooldown: SimTime::from_secs_f64(1.0),
+        }),
+        ..HealthConfig::disabled()
+    };
+    let mut tobs = TraceObserver::new();
+    let report = run_observed(
+        &plan.program,
+        &platform,
+        &repairing(schedule, health),
+        planner.adapt_plan(&desc, config),
+        &mut tobs,
+    );
+    let trace = tobs.into_trace();
+    let failovers: Vec<(TaskId, DeviceId, DeviceId)> = trace
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Failover { task, from, to, .. } => Some((task, from, to)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(failovers, vec![(gpu_chunks[0], DeviceId(1), DeviceId(0))]);
+    assert_eq!(report.health.circuit_opens, 1);
+    assert!(
+        !trace
+            .events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::PlanRepaired { .. })),
+        "the failover is no repair move"
+    );
+    assert_eq!(report.adapt.replans, 0, "{:?}", report.adapt);
+    for (d, b) in report.breakdown.per_device.iter().enumerate() {
+        assert_eq!(b.replan, SimTime::ZERO, "device {d} was charged a re-plan");
+    }
+    check_blame_identity(&report).unwrap();
+    assert_eq!(total_items(&report), 1 << 16);
 }
 
 proptest! {
