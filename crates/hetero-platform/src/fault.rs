@@ -1246,6 +1246,29 @@ impl Deserialize for FaultTrace {
             synthesized: serde::de::field(m, "synthesized", "FaultTrace")?,
         })
     }
+
+    // As derived (first occurrence of a key wins, unknown keys skipped),
+    // except that a missing `version` reads as 0.
+    fn read_json(r: &mut serde::json::Reader<'_>) -> Result<Self, serde::de::Error> {
+        let (mut version, mut schedule, mut synthesized) = (None, None, None);
+        r.begin_map()?;
+        while let Some(k) = r.next_key()? {
+            match &*k {
+                "version" if version.is_none() => version = Some(u32::read_json(r)?),
+                "schedule" if schedule.is_none() => schedule = Some(Deserialize::read_json(r)?),
+                "synthesized" if synthesized.is_none() => {
+                    synthesized = Some(Deserialize::read_json(r)?)
+                }
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |f| serde::de::missing(f, "FaultTrace");
+        Ok(FaultTrace {
+            version: version.unwrap_or(0),
+            schedule: schedule.ok_or_else(|| missing("schedule"))?,
+            synthesized: synthesized.ok_or_else(|| missing("synthesized"))?,
+        })
+    }
 }
 
 /// The [`FaultTrace`] JSON format version this build writes and reads.

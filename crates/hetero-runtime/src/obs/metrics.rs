@@ -127,6 +127,26 @@ impl Serialize for LogHistogram {
             ),
         ])
     }
+
+    fn write_json(&self, w: &mut serde::json::Writer) {
+        w.begin_map();
+        w.key("buckets");
+        self.buckets.write_json(w);
+        w.key("overflow");
+        w.u64(self.overflow);
+        w.key("count");
+        w.u64(self.count);
+        w.key("sum_nanos");
+        w.u64(self.sum_nanos);
+        w.key("quantiles");
+        w.begin_map();
+        for (k, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+            w.key(k);
+            w.f64(self.quantile(q));
+        }
+        w.end_map();
+        w.end_map();
+    }
 }
 
 impl Deserialize for LogHistogram {
@@ -139,6 +159,29 @@ impl Deserialize for LogHistogram {
             overflow: serde::de::field(m, "overflow", "LogHistogram")?,
             count: serde::de::field(m, "count", "LogHistogram")?,
             sum_nanos: serde::de::field(m, "sum_nanos", "LogHistogram")?,
+        })
+    }
+
+    // As derived: the first occurrence of a key wins; `quantiles` (derived
+    // from the buckets) and unknown keys are skipped.
+    fn read_json(r: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut buckets, mut overflow, mut count, mut sum_nanos) = (None, None, None, None);
+        r.begin_map()?;
+        while let Some(k) = r.next_key()? {
+            match &*k {
+                "buckets" if buckets.is_none() => buckets = Some(Deserialize::read_json(r)?),
+                "overflow" if overflow.is_none() => overflow = Some(u64::read_json(r)?),
+                "count" if count.is_none() => count = Some(u64::read_json(r)?),
+                "sum_nanos" if sum_nanos.is_none() => sum_nanos = Some(u64::read_json(r)?),
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |f| serde::de::missing(f, "LogHistogram");
+        Ok(LogHistogram {
+            buckets: buckets.ok_or_else(|| missing("buckets"))?,
+            overflow: overflow.ok_or_else(|| missing("overflow"))?,
+            count: count.ok_or_else(|| missing("count"))?,
+            sum_nanos: sum_nanos.ok_or_else(|| missing("sum_nanos"))?,
         })
     }
 }

@@ -7,7 +7,7 @@
 
 use hetero_match::matchmaker::{
     check_shed_or_serve, decode_request, encode_request, encode_response, run_load, template_app,
-    Arrival, ChaosSchedule, LoadConfig, PlanRequest, PlanService, ServiceConfig,
+    Arrival, ChaosSchedule, LoadConfig, PlanRequest, PlanService, ServiceConfig, ServiceError,
 };
 use hetero_match::platform::{Platform, SimTime};
 use proptest::prelude::*;
@@ -60,6 +60,42 @@ fn directed_malformed_frames_are_typed_not_panics() {
             String::from_utf8_lossy(bytes)
         );
     }
+}
+
+/// Bodies that once crashed the decoder: a high surrogate followed by an
+/// escape that is not a low one (an overflow panic in debug builds, U+2441
+/// in release), and nesting deep enough to overflow the stack.
+#[test]
+fn hostile_json_bodies_are_typed_errors() {
+    let post = |body: &str| {
+        let frame = format!(
+            "POST /plan HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        decode_request(frame.as_bytes(), 64 * 1024)
+    };
+    let bad_json = |body: &str| match post(body) {
+        Err(ServiceError::BadJson { error }) => error,
+        other => panic!("expected bad_json, got {other:?}"),
+    };
+    let req = String::from_utf8(frame(0, false)).unwrap();
+    let body = req.split_once("\r\n\r\n").unwrap().1;
+    assert!(body.contains(r#""client":"t""#));
+    for lo in [r"\u0041", r"\uD800", r"\uE000"] {
+        let bad = body.replace(r#""client":"t""#, &format!(r#""client":"\uD800{lo}""#));
+        assert_eq!(bad_json(&bad), r"invalid \u escape");
+    }
+    let astral = body.replace(r#""client":"t""#, r#""client":"\uD83D\uDE00""#);
+    assert_eq!(post(&astral).expect("a valid pair decodes").client, "😀");
+
+    // 65,000 bytes fits under the 64 KiB body cap.
+    assert_eq!(
+        bad_json(&"[".repeat(65_000)),
+        "recursion limit exceeded at byte 128"
+    );
+    // 128 levels parse; the body then fails as the wrong shape, not as depth.
+    let deep = format!("{}{}", "[".repeat(128), "]".repeat(128));
+    assert_eq!(bad_json(&deep), "expected map for PlanRequest");
 }
 
 #[test]
