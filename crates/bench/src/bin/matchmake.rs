@@ -16,7 +16,7 @@
 //! matchmake resume   run.journal        # crash recovery: finish a killed journaled run
 //! matchmake flame    app.json           # causal span profile: folded stacks on stdout
 //! matchmake diff     a.json b.json      # per-series regression verdicts between two
-//!                                       # metrics/report/bench exports
+//!                                       # metrics/report exports
 //! matchmake serve                       # planning service: framed requests on stdin,
 //!                                       # one response per request on stdout
 //! matchmake load                        # seeded load generator against the in-process
@@ -78,8 +78,6 @@
 //!                                       # schedule (slow-loris, malformed JSON,
 //!                                       # oversized bodies, a stalled worker)
 //!   --metrics <path>                    # write the service's hm_service_* registry
-//!   --bench-out <path>                  # write latency quantiles + throughput as a
-//!                                       # BENCH-file JSON (perf trajectory shape)
 //!
 //! flame options:
 //!   --fault-trace <path>                # profile the run under the trace's replay
@@ -90,7 +88,8 @@
 //!
 //! diff options:
 //!   --tolerance <pct>                   # relative tolerance before a moved series
-//!                                       # counts as improved/regressed (default 0)
+//!                                       # counts as improved/regressed (default 0;
+//!                                       # a negative or non-finite value is an error)
 //!   --report-only                       # print the verdict table but always exit 0
 //!
 //! fuzz options:
@@ -131,7 +130,7 @@ fn usage() -> ! {
          [--fault-trace-out <path>] [--replan] [--iters <n>] [--seed <s>] [--shrink] \
          [--corpus <dir>] [--self-check] [--journal <path>] [--crash-after <n>] [--torn] \
          [--kill-at <ms>] [--chrome <path>] [--tolerance <pct>] [--report-only] [--salvage] \
-         [--requests <n>] [--chaos] [--bench-out <path>]"
+         [--requests <n>] [--chaos]"
     );
     exit(2);
 }
@@ -315,7 +314,6 @@ fn main() {
     let mut salvage = false;
     let mut requests: u64 = 1000;
     let mut chaos = false;
-    let mut bench_out: Option<String> = None;
     let mut file2 = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -400,9 +398,7 @@ fn main() {
                     .unwrap_or_else(|| usage());
             }
             "--chaos" => chaos = true,
-            "--bench-out" => {
-                bench_out = Some(it.next().cloned().unwrap_or_else(|| usage()));
-            }
+            _ if a.starts_with("--") => usage(),
             _ if command.is_none() => command = Some(a.clone()),
             _ if file.is_none() => file = Some(a.clone()),
             _ if file2.is_none() => file2 = Some(a.clone()),
@@ -1022,12 +1018,6 @@ fn main() {
             if let Some(mp) = &metrics_path {
                 write_metrics(mp, &out.registry);
             }
-            if let Some(bp) = &bench_out {
-                if let Err(e) = fs::write(bp, load_bench_json(&out)) {
-                    eprintln!("cannot write bench file {bp}: {e}");
-                    exit(1);
-                }
-            }
         }
         _ => usage(),
     }
@@ -1064,36 +1054,4 @@ fn split_frames(mut buf: &[u8]) -> Vec<Vec<u8>> {
         buf = &buf[end..];
     }
     frames
-}
-
-/// Render a `matchmake load` outcome in the `BENCH_*.json` trajectory
-/// shape: virtual-latency quantiles plus served/shed counts.
-fn load_bench_json(out: &matchmaker::LoadOutcome) -> String {
-    let served = out.outcomes.iter().filter(|o| o.result.is_ok()).count() as u64;
-    let shed = out.outcomes.len() as u64 - served;
-    let q = |name: &str, seconds: f64, units: u64, unit: &str| {
-        format!(
-            "    {{\"name\": \"{name}\", \"mean_ns\": {:.1}, \"units\": {units}, \
-             \"unit\": \"{unit}\"}}",
-            seconds * 1e9
-        )
-    };
-    let quantile = |p: f64| {
-        let mut h = hetero_runtime::LogHistogram::default();
-        for o in &out.outcomes {
-            h.observe(o.done.saturating_sub(o.arrival));
-        }
-        h.quantile(p)
-    };
-    let results = [
-        q("latency_p50", quantile(0.50), served, "request"),
-        q("latency_p95", quantile(0.95), served, "request"),
-        q("latency_p99", quantile(0.99), served, "request"),
-        q("shed", shed as f64 * 1e-9, shed.max(1), "request"),
-    ];
-    format!(
-        "{{\n  \"pr\": 10,\n  \"bench\": \"service_load\",\n  \"samples\": 1,\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        results.join(",\n")
-    )
 }

@@ -9,9 +9,14 @@
 //! repro accuracy            # Glinda model prediction vs simulated time
 //! repro strategy-map        # winning strategy per (capability, link) cell
 //! repro ablation-tasksize   # §V task-size sensitivity sweep
+//! repro ablation-overheads  # SP-Single vs DP-Perf per scheduling overhead
+//! repro ablation-link       # SP-Unified split and baselines per PCIe bandwidth
 //! repro json                # full result matrix as JSON (for EXPERIMENTS.md)
 //! repro markdown            # regenerated markdown evaluation report
 //! ```
+//!
+//! The last four are not part of `all`, so `docs/repro_output.txt` holds
+//! none of them.
 
 use bench::experiments::{self, AppRun};
 use bench::{report, validation};
@@ -46,6 +51,8 @@ fn main() {
         "accuracy",
         "strategy-map",
         "ablation-tasksize",
+        "ablation-overheads",
+        "ablation-link",
         "json",
         "markdown",
     ];
@@ -59,10 +66,11 @@ fn main() {
     let platform = Platform::icpp15();
 
     // Every figure slices the same evaluation matrix; run it once.
-    let needs_matrix = !matches!(
-        what,
-        "table1" | "table3" | "coverage" | "accuracy" | "strategy-map" | "ablation-tasksize"
-    );
+    let needs_matrix = !(what.starts_with("ablation-")
+        || matches!(
+            what,
+            "table1" | "table3" | "coverage" | "accuracy" | "strategy-map"
+        ));
     let runs: Vec<AppRun> = if needs_matrix {
         eprintln!("running the evaluation matrix (8 app variants x all configurations)...");
         experiments::run_all(&platform)
@@ -175,6 +183,14 @@ fn main() {
             }
         }
         sections.push(out);
+    }
+    if what == "ablation-overheads" {
+        sections.push(report::overhead_ablation_report(
+            &experiments::overhead_ablation(),
+        ));
+    }
+    if what == "ablation-link" {
+        sections.push(report::link_ablation_report(&experiments::link_ablation()));
     }
     if what == "json" {
         println!("{}", serde_json::to_string_pretty(&runs).unwrap());

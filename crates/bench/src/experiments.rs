@@ -1,8 +1,8 @@
-//! Structured experiment runners, one per table/figure.
+//! Structured experiment runners, one per table, figure and ablation.
 
 use hetero_apps::{blackscholes, corpus, hotspot, matrixmul, nbody, stream};
-use hetero_platform::Platform;
-use matchmaker::{classify, Analyzer, AppDescriptor, ExecutionConfig, SyncMode};
+use hetero_platform::{LinkSpec, Platform, SimTime};
+use matchmaker::{classify, Analyzer, AppDescriptor, ExecutionConfig, Strategy, SyncMode};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -188,7 +188,7 @@ impl AccuracyRow {
 /// this; it also quantifies what the model leaves out — scheduling epochs,
 /// launch overheads, flush serialisation).
 pub fn model_accuracy(platform: &Platform) -> Vec<AccuracyRow> {
-    use matchmaker::{KernelSplit, Strategy};
+    use matchmaker::KernelSplit;
     let analyzer = Analyzer::new(platform);
     let mut rows = Vec::new();
     // Single-kernel apps: SP-Single, prediction × iterations.
@@ -254,19 +254,10 @@ pub struct MapCell {
 /// the landscape behind Table I: static splits win the interior, the
 /// single-device baselines win the extremes.
 pub fn strategy_map(capabilities: &[f64], links_gbs: &[f64]) -> Vec<MapCell> {
-    use hetero_platform::{LinkSpec, SimTime};
     let mut cells = Vec::new();
     for &cap in capabilities {
         for &gbs in links_gbs {
-            let base = Platform::icpp15();
-            let platform = Platform::builder()
-                .cpu(base.cpu().spec.clone())
-                .accelerator(
-                    base.gpu().unwrap().spec.clone(),
-                    LinkSpec::new(gbs, SimTime::from_micros(15)),
-                )
-                .sched_overhead(base.sched_overhead)
-                .build();
+            let platform = icpp15_with_link(gbs);
             let mut desc = hetero_apps::synth::multi_kernel(
                 "map-probe",
                 1 << 21,
@@ -297,6 +288,95 @@ pub fn strategy_map(capabilities: &[f64], links_gbs: &[f64]) -> Vec<MapCell> {
     cells
 }
 
+/// The paper platform with its PCIe link replaced by one of `gbs` GB/s.
+fn icpp15_with_link(gbs: f64) -> Platform {
+    let base = Platform::icpp15();
+    Platform::builder()
+        .cpu(base.cpu().spec.clone())
+        .accelerator(
+            base.gpu().unwrap().spec.clone(),
+            LinkSpec::new(gbs, SimTime::from_micros(15)),
+        )
+        .sched_overhead(base.sched_overhead)
+        .build()
+}
+
+/// One row of the scheduling-overhead ablation.
+#[derive(Debug)]
+pub struct OverheadRow {
+    /// Per-decision scheduling overhead of the platform, µs.
+    pub overhead_us: u64,
+    /// SP-Single's makespan.
+    pub sp_single: SimTime,
+    /// DP-Perf's makespan.
+    pub dp_perf: SimTime,
+}
+
+/// Scheduling-overhead ablation: BlackScholes under SP-Single and DP-Perf
+/// at 0, 8, 32, 128 and 512 µs per scheduling decision. The paper blames
+/// dynamic partitioning's deficit on "runtime scheduling overhead"; a
+/// static plan takes no decisions, so SP-Single stays flat while DP-Perf
+/// pays for every one — the mechanism behind Proposition 2.
+pub fn overhead_ablation() -> Vec<OverheadRow> {
+    let desc = blackscholes::paper_descriptor();
+    [0, 8, 32, 128, 512]
+        .into_iter()
+        .map(|us| {
+            let mut platform = Platform::icpp15();
+            platform.sched_overhead = SimTime::from_micros(us);
+            let analyzer = Analyzer::new(&platform);
+            let time = |s| {
+                analyzer
+                    .simulate(&desc, ExecutionConfig::Strategy(s))
+                    .makespan
+            };
+            OverheadRow {
+                overhead_us: us,
+                sp_single: time(Strategy::SpSingle),
+                dp_perf: time(Strategy::DpPerf),
+            }
+        })
+        .collect()
+}
+
+/// One row of the link-bandwidth ablation.
+#[derive(Debug)]
+pub struct LinkRow {
+    /// PCIe bandwidth, GB/s.
+    pub link_gbs: f64,
+    /// Fraction of data items SP-Unified places on the GPU.
+    pub gpu_share: f64,
+    /// SP-Unified's makespan.
+    pub sp_unified: SimTime,
+    /// Only-GPU's makespan.
+    pub only_gpu: SimTime,
+    /// Only-CPU's makespan.
+    pub only_cpu: SimTime,
+}
+
+/// Link-bandwidth ablation: STREAM-Seq without sync on the paper platform
+/// with its PCIe link at 1.5 to 48 GB/s. The compute-to-transfer gap G
+/// (§II-A) predicts the split: the faster the link, the more of the work
+/// SP-Unified hands the GPU.
+pub fn link_ablation() -> Vec<LinkRow> {
+    let desc = stream::paper_seq(false);
+    [1.5, 3.0, 6.0, 12.0, 24.0, 48.0]
+        .into_iter()
+        .map(|gbs| {
+            let platform = icpp15_with_link(gbs);
+            let analyzer = Analyzer::new(&platform);
+            let sp = analyzer.simulate(&desc, ExecutionConfig::Strategy(Strategy::SpUnified));
+            LinkRow {
+                link_gbs: gbs,
+                gpu_share: sp.gpu_item_share(),
+                sp_unified: sp.makespan,
+                only_gpu: analyzer.simulate(&desc, ExecutionConfig::OnlyGpu).makespan,
+                only_cpu: analyzer.simulate(&desc, ExecutionConfig::OnlyCpu).makespan,
+            }
+        })
+        .collect()
+}
+
 /// §V task-size ablation: sweep the dynamic task granularity and report
 /// DP-Perf's time for each, demonstrating the sensitivity that motivates
 /// the paper's auto-tuning recommendation.
@@ -310,10 +390,7 @@ pub fn task_size_ablation(
         .map(|&m| {
             let mut analyzer = Analyzer::new(platform);
             analyzer.planner_mut().dynamic_instances_per_kernel = m;
-            let report = analyzer.simulate(
-                desc,
-                ExecutionConfig::Strategy(matchmaker::Strategy::DpPerf),
-            );
+            let report = analyzer.simulate(desc, ExecutionConfig::Strategy(Strategy::DpPerf));
             (m, report.makespan.as_millis_f64())
         })
         .collect()
@@ -404,6 +481,46 @@ mod tests {
                 r.strategy,
                 r.predicted_ms,
                 r.simulated_ms
+            );
+        }
+    }
+
+    #[test]
+    fn overhead_ablation_taxes_only_the_dynamic_strategy() {
+        let rows = overhead_ablation();
+        let times = |f: fn(&OverheadRow) -> SimTime| -> Vec<String> {
+            rows.iter().map(|r| f(r).to_string()).collect()
+        };
+        assert_eq!(times(|r| r.sp_single), ["227.48ms"; 5]);
+        assert_eq!(
+            times(|r| r.dp_perf),
+            ["255.95ms", "256.45ms", "257.97ms", "264.01ms", "288.21ms"]
+        );
+        // Static plans take no decisions; DP-Perf pays for every one and
+        // trails SP-Single even when decisions are free.
+        assert!(rows.iter().all(|r| r.sp_single == rows[0].sp_single));
+        assert!(rows.windows(2).all(|w| w[0].dp_perf < w[1].dp_perf));
+        assert!(rows[0].dp_perf > rows[0].sp_single);
+    }
+
+    #[test]
+    fn link_ablation_shifts_work_to_the_gpu_and_unified_always_wins() {
+        let rows = link_ablation();
+        let shares: Vec<String> = rows
+            .iter()
+            .map(|r| format!("{:.1}", 100.0 * r.gpu_share))
+            .collect();
+        assert_eq!(shares, ["17.6", "29.4", "44.0", "58.7", "70.4", "78.3"]);
+        assert_eq!(rows[0].sp_unified.to_string(), "121.70ms");
+        assert_eq!(rows[5].sp_unified.to_string(), "32.14ms");
+        assert!(rows.iter().all(|r| r.only_cpu.to_string() == "147.70ms"));
+        assert!(rows.windows(2).all(|w| w[0].gpu_share < w[1].gpu_share));
+        for r in &rows {
+            assert!(
+                r.sp_unified < r.only_gpu && r.sp_unified < r.only_cpu,
+                "{} GB/s: {:?}",
+                r.link_gbs,
+                r
             );
         }
     }

@@ -304,6 +304,63 @@ pub fn strategy_map_report(
     out
 }
 
+/// The scheduling-overhead ablation as text.
+pub fn overhead_ablation_report(rows: &[crate::experiments::OverheadRow]) -> String {
+    let mut out = String::new();
+    writeln!(
+        out,
+        "Scheduling-overhead ablation (Proposition 2): BlackScholes per decision overhead"
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:>12} {:>12} {:>12} {:>8}",
+        "overhead", "SP-Single", "DP-Perf", "gap"
+    )
+    .unwrap();
+    for r in rows {
+        writeln!(
+            out,
+            "{:>10}us {:>12} {:>12} {:>7.2}x",
+            r.overhead_us,
+            r.sp_single.to_string(),
+            r.dp_perf.to_string(),
+            r.dp_perf.as_secs_f64() / r.sp_single.as_secs_f64()
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// The link-bandwidth ablation as text.
+pub fn link_ablation_report(rows: &[crate::experiments::LinkRow]) -> String {
+    let mut out = String::new();
+    writeln!(
+        out,
+        "Link-bandwidth ablation (§II-A gap G): STREAM-Seq w/o sync per PCIe bandwidth"
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:>10} {:>10} {:>12} {:>12} {:>12}",
+        "link GB/s", "GPU share", "SP-Unified", "Only-GPU", "Only-CPU"
+    )
+    .unwrap();
+    for r in rows {
+        writeln!(
+            out,
+            "{:>10.1} {:>9.1}% {:>12} {:>12} {:>12}",
+            r.link_gbs,
+            100.0 * r.gpu_share,
+            r.sp_unified.to_string(),
+            r.only_gpu.to_string(),
+            r.only_cpu.to_string()
+        )
+        .unwrap();
+    }
+    out
+}
+
 /// The §III-B coverage study as text.
 pub fn coverage_report(counts: &BTreeMap<String, usize>) -> String {
     let mut out = String::new();

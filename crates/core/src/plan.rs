@@ -32,7 +32,7 @@ use glinda::{
     decide, estimate_rates, solve_multi, AcceleratorSide, DecisionConfig, HardwareConfig,
     MultiDeviceProblem, MultiSolution, PartitionProblem, TransferModel,
 };
-use hetero_platform::{DeviceId, DeviceKind, MemSpaceId, Platform};
+use hetero_platform::{DeviceId, MemSpaceId, Platform};
 use hetero_runtime::{
     split_even, Access, AdaptPlan, KernelId, PlanError, Program, ProgramBuilder, Region,
 };
@@ -830,14 +830,6 @@ fn instance_accesses(
         });
     }
     Ok(out)
-}
-
-/// Which device kind a `DeviceKind` display uses (report helper).
-pub fn device_kind_label(kind: DeviceKind) -> &'static str {
-    match kind {
-        DeviceKind::Cpu { .. } => "CPU",
-        DeviceKind::Gpu { .. } => "GPU",
-    }
 }
 
 #[cfg(test)]

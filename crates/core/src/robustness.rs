@@ -48,12 +48,6 @@ impl DegradationEntry {
             .map(|b| b.resilience_overhead())
             .sum()
     }
-
-    /// Where the degradation went, per device: the faulty run's blame
-    /// components as a compact table (`names` indexed by `DeviceId.0`).
-    pub fn blame_summary(&self, names: &[&str]) -> String {
-        self.faulty.breakdown.render(names)
-    }
 }
 
 impl<'a> Analyzer<'a> {

@@ -69,16 +69,6 @@ pub struct MultiSolution {
     pub predicted_time: f64,
 }
 
-impl MultiSolution {
-    /// Fraction of items offloaded to any accelerator.
-    pub fn offload_fraction(&self, items: u64) -> f64 {
-        if items == 0 {
-            return 0.0;
-        }
-        self.accel_items.iter().sum::<u64>() as f64 / items as f64
-    }
-}
-
 impl MultiDeviceProblem {
     /// The model's co-execution time for an arbitrary split: the slowest
     /// device finishing its share (accelerators pay their fixed offload

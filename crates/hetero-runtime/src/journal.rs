@@ -688,11 +688,6 @@ impl JournalSink {
         self.records
     }
 
-    /// Records still pending byte-validation against the resume prefix.
-    pub fn replay_remaining(&self) -> u64 {
-        (self.replay_bodies.len() as u64).saturating_sub(self.records)
-    }
-
     /// The journal's full on-disk text: header + committed records, one
     /// envelope per newline-terminated line, plus the torn tail (no
     /// newline) when the injected kill tore its write.

@@ -92,7 +92,6 @@ pub use program::{
 };
 pub use scheduler::{
     BindCtx, DepScheduler, PerfScheduler, PinnedScheduler, RateObservation, Scheduler,
-    WorkConservingScheduler,
 };
 pub use spec::{RunMode, RunSpec};
 pub use stats::{KernelStats, RunReport};

@@ -1,13 +1,11 @@
-//! Run-diff regression engine: compare two metrics/report/bench JSON
-//! exports into a typed per-series verdict table.
+//! Run-diff regression engine: compare two metrics/report JSON exports
+//! into a typed per-series verdict table.
 //!
-//! Three input shapes are auto-detected:
+//! Two input shapes are auto-detected:
 //!
 //! - a [`MetricsRegistry`] export (`matchmake run --metrics`): each
 //!   counter/gauge series becomes one numeric entry; histograms contribute
 //!   `.count` and `.sum_seconds` sub-entries plus their quantiles;
-//! - a bench file (`BENCH_N.json`, `{"results": [{"name", "mean_ns"}]}`):
-//!   each result's `mean_ns` becomes one entry;
 //! - any other JSON: every numeric leaf keyed by its `a.b[2].c` path.
 //!
 //! Series whose name smells like a duration (`seconds`, `_ns`, `nanos`,
@@ -16,8 +14,7 @@
 //! tolerance as `Regressed` (counts changing under a supposedly identical
 //! configuration is a determinism regression, not progress). The engine
 //! backs `matchmake diff <a.json> <b.json> [--tolerance pct]`, which exits
-//! non-zero when [`RunDiff::has_regressions`] — CI gates every bench file
-//! and determinism example on it.
+//! non-zero when [`RunDiff::has_regressions`].
 
 use super::metrics::MetricsRegistry;
 use serde::{Deserialize, Serialize};
@@ -54,8 +51,7 @@ impl DiffVerdict {
 /// One row of the diff table.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DiffEntry {
-    /// Series identifier (`hm_makespan_seconds{...}`, bench name, or
-    /// JSON path).
+    /// Series identifier (`hm_makespan_seconds{...}` or JSON path).
     pub name: String,
     /// The verdict for this series.
     pub verdict: DiffVerdict,
@@ -83,7 +79,6 @@ fn lower_is_better(name: &str) -> bool {
         || name.contains("makespan")
         || name.contains("nanos")
         || name.contains("_ns")
-        || name.contains("mean_ns")
 }
 
 /// Extract comparable `(name, value)` pairs from one export.
@@ -108,29 +103,7 @@ fn extract(v: &serde_json::Value) -> Vec<(String, f64)> {
             return out;
         }
     }
-    // Shape 2: a bench file with named mean_ns results.
-    if let Some(m) = v.as_map() {
-        if let Some(results) = m
-            .iter()
-            .find(|(k, _)| k == "results")
-            .and_then(|(_, v)| v.as_array())
-        {
-            let mut out = Vec::new();
-            for r in results {
-                let name = r["name"].as_str();
-                let mean = r["mean_ns"]
-                    .as_f64()
-                    .or_else(|| r["mean_ns"].as_u64().map(|u| u as f64));
-                if let (Some(name), Some(mean)) = (name, mean) {
-                    out.push((format!("{name}.mean_ns"), mean));
-                }
-            }
-            if !out.is_empty() {
-                return out;
-            }
-        }
-    }
-    // Shape 3: generic numeric leaves by path.
+    // Shape 2: generic numeric leaves by path.
     let mut out = Vec::new();
     walk(v, String::new(), &mut out);
     out
@@ -163,12 +136,18 @@ fn walk(v: &serde_json::Value, path: String, out: &mut Vec<(String, f64)>) {
 
 impl RunDiff {
     /// Compare two JSON exports (candidate `b` against baseline `a`) with
-    /// a symmetric relative tolerance in percent.
+    /// a symmetric relative tolerance in percent, which must be finite and
+    /// non-negative.
     pub fn between(
         a_json: &str,
         b_json: &str,
         tolerance_pct: f64,
     ) -> Result<RunDiff, serde::Error> {
+        if !(tolerance_pct.is_finite() && tolerance_pct >= 0.0) {
+            return Err(serde::Error::custom(format!(
+                "tolerance must be a finite, non-negative percentage, got {tolerance_pct}"
+            )));
+        }
         let a: serde_json::Value = serde_json::from_str(a_json)
             .map_err(|e| serde::Error::custom(format!("baseline: {e}")))?;
         let b: serde_json::Value = serde_json::from_str(b_json)
@@ -373,23 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn bench_files_compare_by_mean_ns() {
-        let a = r#"{"pr": 8, "bench": "journal", "results": [
-            {"name": "record", "mean_ns": 1000.0, "units": 1, "unit": "run"},
-            {"name": "resume", "mean_ns": 2000.0, "units": 1, "unit": "run"}
-        ]}"#;
-        let b = r#"{"pr": 9, "bench": "journal", "results": [
-            {"name": "record", "mean_ns": 900.0, "units": 1, "unit": "run"},
-            {"name": "resume", "mean_ns": 2500.0, "units": 1, "unit": "run"}
-        ]}"#;
-        let diff = RunDiff::between(a, b, 10.0).unwrap();
-        assert_eq!(diff.entries.len(), 2);
-        assert_eq!(diff.entries[0].name, "record.mean_ns");
-        assert_eq!(diff.entries[0].verdict, DiffVerdict::Unchanged);
-        assert_eq!(diff.entries[1].verdict, DiffVerdict::Regressed);
-        let table = diff.render();
-        assert!(table.contains("regressed"));
-        assert!(table.contains("tolerance 10%"));
+    fn negative_or_non_finite_tolerance_is_an_error() {
+        let json = r#"{"makespan": {"seconds": 3.0}, "tasks": [1, 2]}"#;
+        for tolerance in [-5.0, -f64::MIN_POSITIVE, f64::NAN, f64::INFINITY] {
+            let err = RunDiff::between(json, json, tolerance).unwrap_err();
+            assert!(err.to_string().contains("tolerance"), "{err}");
+        }
+        assert!(!RunDiff::between(json, json, 0.0).unwrap().has_regressions());
     }
 
     #[test]

@@ -146,83 +146,6 @@ impl Scheduler for DepScheduler {
     }
 }
 
-/// A *work-conserving* breadth-first policy (not one of the paper's
-/// strategies; an ablation of the DP-Dep modelling choice).
-///
-/// The paper's DP-Dep observations — "only one task instance is assigned
-/// to the GPU" on MatrixMul — indicate OmpSs's breadth-first scheduler
-/// bound instances to workers eagerly ([`DepScheduler`] models that with a
-/// slot ring). A work-conserving runtime would instead hand work to
-/// whichever worker goes idle. This policy approximates that behaviour in
-/// the bind-at-ready model: it tracks outstanding *instance counts* per
-/// device and binds to the least-loaded slot (still capability-blind — it
-/// counts tasks, not time — and still chain-affine). The
-/// `ablation_dp_dep_variants` bench contrasts the two against DP-Perf.
-pub struct WorkConservingScheduler {
-    outstanding: Vec<u64>,
-    of_task: BTreeMap<TaskId, DeviceId>,
-    slots: Vec<u64>,
-}
-
-impl WorkConservingScheduler {
-    /// Fresh policy for a platform.
-    pub fn new(platform: &Platform) -> Self {
-        WorkConservingScheduler {
-            outstanding: vec![0; platform.devices.len()],
-            of_task: BTreeMap::new(),
-            slots: platform
-                .devices
-                .iter()
-                .map(|d| d.spec.kind.slots() as u64)
-                .collect(),
-        }
-    }
-}
-
-impl Scheduler for WorkConservingScheduler {
-    fn bind(&mut self, ctx: &BindCtx<'_>) -> DeviceId {
-        let dev = if let Some(d) = ctx.task.pinned {
-            d
-        } else if let Some(&d) = ctx.pred_placements.first() {
-            d
-        } else {
-            ctx.platform
-                .devices
-                .iter()
-                .map(|d| d.id)
-                .min_by(|&a, &b| {
-                    let la = self.outstanding[a.0] as f64 / self.slots[a.0] as f64;
-                    let lb = self.outstanding[b.0] as f64 / self.slots[b.0] as f64;
-                    la.partial_cmp(&lb).unwrap().then(a.cmp(&b))
-                })
-                .expect("platform has devices")
-        };
-        self.outstanding[dev.0] += 1;
-        self.of_task.insert(ctx.task_id, dev);
-        dev
-    }
-
-    fn on_complete(
-        &mut self,
-        task: TaskId,
-        _kernel: KernelId,
-        dev: DeviceId,
-        _items: u64,
-        _busy: SimTime,
-        _exec: SimTime,
-        _now: SimTime,
-    ) {
-        if let Some(d) = self.of_task.remove(&task) {
-            debug_assert_eq!(d, dev);
-            self.outstanding[dev.0] = self.outstanding[dev.0].saturating_sub(1);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "BF-WC"
-    }
-}
-
 /// Cumulative observed throughput of one (kernel, device) pair.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RateObservation {
@@ -622,47 +545,6 @@ mod tests {
         let mut seeded = PerfScheduler::seeded(&p, warm.rates().clone());
         // Immediately performance-aware: first bind goes to the GPU.
         assert_eq!(seeded.bind(&ctx(&p, &t, &[])), DeviceId(1));
-    }
-
-    #[test]
-    fn work_conserving_balances_by_slot_load() {
-        let p = Platform::test_small(); // 4 CPU slots + 1 GPU slot
-        let mut s = WorkConservingScheduler::new(&p);
-        let t = task(0, 10, None);
-        // First five binds: loads per slot: cpu 0/4 vs gpu 0/1 -> cpu first
-        // (tie broken by id), then gpu once cpu load/slot catches up.
-        let mut seq = Vec::new();
-        for i in 0..10 {
-            let mut c = ctx(&p, &t, &[]);
-            c.task_id = TaskId(i);
-            seq.push(s.bind(&c).0);
-        }
-        // Device 1 (1 slot) should appear ~1/5 of the time.
-        let gpu_n = seq.iter().filter(|&&d| d == 1).count();
-        assert!((1..=3).contains(&gpu_n), "{seq:?}");
-    }
-
-    #[test]
-    fn work_conserving_completions_free_load() {
-        let p = Platform::test_small();
-        let mut s = WorkConservingScheduler::new(&p);
-        let t = task(0, 10, None);
-        let mut c0 = ctx(&p, &t, &[]);
-        c0.task_id = TaskId(0);
-        let d0 = s.bind(&c0);
-        s.on_complete(
-            TaskId(0),
-            KernelId(0),
-            d0,
-            10,
-            SimTime::ZERO,
-            SimTime::ZERO,
-            SimTime::ZERO,
-        );
-        // Load back to zero: next bind hits the same first device again.
-        let mut c1 = ctx(&p, &t, &[]);
-        c1.task_id = TaskId(1);
-        assert_eq!(s.bind(&c1), d0);
     }
 
     #[test]
