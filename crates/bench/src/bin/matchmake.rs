@@ -25,7 +25,8 @@
 //! options:
 //!   --platform icpp15|icpp15-phi        # preset (default icpp15)
 //!   --refined                           # enable MK-DAG chain refinement
-//!   --width <n>                         # gantt width in buckets (timeline; default 72)
+//!   --width <n>                         # gantt width in buckets, at least 1
+//!                                       # (timeline; default 72)
 //!   --metrics <path>                    # write Prometheus metrics of each simulated
 //!                                       # run (compare/timeline) to <path>
 //!   --breakdown                         # print the per-device makespan blame
@@ -343,6 +344,7 @@ fn main() {
                 width = it
                     .next()
                     .and_then(|w| w.parse().ok())
+                    .filter(|&w| w > 0)
                     .unwrap_or_else(|| usage());
             }
             "--metrics" => {
@@ -847,7 +849,7 @@ fn main() {
                 });
             let tree = SpanTree::from_trace(tobs.trace(), &platform);
             if let Some(cp) = &chrome_out {
-                let json = SpanTree::to_chrome_json_with_flows(tobs.trace(), &platform);
+                let json = tobs.trace().to_chrome_json_with_flows(&platform);
                 if let Err(e) = fs::write(cp, json) {
                     eprintln!("cannot write chrome trace {cp}: {e}");
                     exit(1);

@@ -46,11 +46,6 @@ impl AppClass {
             AppClass::MkDag => "V",
         }
     }
-
-    /// `true` for the single-kernel classes.
-    pub fn is_single_kernel(self) -> bool {
-        matches!(self, AppClass::SkOne | AppClass::SkLoop)
-    }
 }
 
 impl fmt::Display for AppClass {
@@ -134,8 +129,6 @@ mod tests {
     fn class_metadata() {
         assert_eq!(AppClass::SkLoop.number(), "II");
         assert_eq!(AppClass::MkDag.to_string(), "MK-DAG");
-        assert!(AppClass::SkOne.is_single_kernel());
-        assert!(!AppClass::MkLoop.is_single_kernel());
         assert_eq!(AppClass::ALL.len(), 5);
     }
 }

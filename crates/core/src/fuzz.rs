@@ -494,12 +494,11 @@ pub fn run_oracles_counted(
         }
     }
 
-    // (d) FaultTrace record/replay determinism: the recorded disturbance,
-    // replayed with triggering disabled, reproduces the run.
+    // (d) FaultTrace record/replay determinism: the disturbance the faulty
+    // run recorded, replayed with triggering disabled, reproduces the run.
     count(OracleKind::ReplayDeterminism, &mut checks);
     {
-        let (recorded, trace) =
-            analyzer.record_fault_trace(desc, config, &scenario.schedule, policy);
+        let trace = FaultTrace::new(scenario.schedule.clone(), faulty.synthesized_faults.clone());
         match FaultTrace::from_json(&trace.to_json()) {
             Err(e) => violations.push(OracleViolation::new(
                 OracleKind::ReplayDeterminism,
@@ -512,19 +511,19 @@ pub fn run_oracles_counted(
             Ok(parsed) => {
                 let replayed =
                     analyzer.simulate_faulty(desc, config, &parsed.replay_schedule(), policy);
-                if replayed.makespan != recorded.makespan
-                    || replayed.breakdown != recorded.breakdown
-                    || replayed.faults.task_faults != recorded.faults.task_faults
-                    || replayed.faults.failovers != recorded.faults.failovers
+                if replayed.makespan != faulty.makespan
+                    || replayed.breakdown != faulty.breakdown
+                    || replayed.faults.task_faults != faulty.faults.task_faults
+                    || replayed.faults.failovers != faulty.faults.failovers
                 {
                     violations.push(OracleViolation::new(
                         OracleKind::ReplayDeterminism,
                         format!(
                             "replay diverged: makespan {} vs {}, task_faults {} vs {}",
                             replayed.makespan,
-                            recorded.makespan,
+                            faulty.makespan,
                             replayed.faults.task_faults,
-                            recorded.faults.task_faults
+                            faulty.faults.task_faults
                         ),
                     ));
                 } else if replayed.faults.correlated_triggers != 0 {
@@ -644,12 +643,8 @@ pub fn run_oracles_counted(
         }
     }
 
-    // (e) Plan repair never loses to naive host failover, on the
-    // permanent-dropout slice of the schedule (the envelope PR 7 proves
-    // the guard for: repair applies a rebinding only when the model
-    // predicts it strictly beats the chunk-by-chunk failover of the same
-    // wave) and only for static hybrid strategies — dynamic chunks are
-    // re-placed by the scheduler and repair leaves them alone.
+    // The permanent-dropout slice of the schedule, kept only for static
+    // hybrid strategies: oracles (e) and (f) run their repairing runs on it.
     let dropouts: Vec<FaultEvent> = scenario
         .schedule
         .events
@@ -657,16 +652,23 @@ pub fn run_oracles_counted(
         .filter(|e| matches!(e, FaultEvent::DeviceDropout { .. }))
         .cloned()
         .collect();
-    if !dropouts.is_empty() && is_static_hybrid(config) {
-        let dschedule = FaultSchedule {
-            seed: scenario.schedule.seed,
-            events: dropouts,
-            domains: Vec::new(),
-            synthesized_after: None,
-        };
+    let dschedule = (!dropouts.is_empty() && is_static_hybrid(config)).then(|| FaultSchedule {
+        seed: scenario.schedule.seed,
+        events: dropouts,
+        domains: Vec::new(),
+        synthesized_after: None,
+    });
+
+    // (e) Plan repair never loses to naive host failover, on the
+    // permanent-dropout slice (the envelope PR 7 proves the guard for:
+    // repair applies a rebinding only when the model predicts it strictly
+    // beats the chunk-by-chunk failover of the same wave) and only for
+    // static hybrid strategies — dynamic chunks are re-placed by the
+    // scheduler and repair leaves them alone.
+    if let Some(dschedule) = &dschedule {
         let health = HealthConfig::disabled();
         count(OracleKind::RepairNeverLoses, &mut checks);
-        let naive = analyzer.simulate_resilient(desc, config, &dschedule, policy, &health);
+        let naive = analyzer.simulate_resilient(desc, config, dschedule, policy, &health);
         // Adaptation stays off so the only delta between the runs is the
         // repair subsystem itself.
         // The repair subsystem giving up (budget exhausted, nothing to
@@ -675,7 +677,7 @@ pub fn run_oracles_counted(
         if let Ok(repaired) = analyzer.simulate_repairing(
             desc,
             config,
-            &dschedule,
+            dschedule,
             policy,
             &health,
             &AdaptConfig::disabled(),
@@ -807,20 +809,7 @@ pub fn run_oracles_counted(
             &mut violations,
             &mut checks,
         );
-        let dropouts: Vec<FaultEvent> = scenario
-            .schedule
-            .events
-            .iter()
-            .filter(|e| matches!(e, FaultEvent::DeviceDropout { .. }))
-            .cloned()
-            .collect();
-        if !dropouts.is_empty() && is_static_hybrid(config) {
-            let dschedule = FaultSchedule {
-                seed: scenario.schedule.seed,
-                events: dropouts,
-                domains: Vec::new(),
-                synthesized_after: None,
-            };
+        if let Some(dschedule) = dschedule {
             check_crash(
                 &RunSpec::repairing(
                     dschedule,

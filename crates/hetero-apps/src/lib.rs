@@ -28,7 +28,6 @@
 pub mod binomial;
 pub mod blackscholes;
 pub mod corpus;
-pub mod fuzz;
 pub mod hotspot;
 pub mod matrixmul;
 pub mod nbody;

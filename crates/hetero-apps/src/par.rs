@@ -3,38 +3,9 @@
 //! The native validation path of `hetero-runtime` runs task instances
 //! sequentially (so it is trivially race-free); the *kernels themselves*
 //! still deserve real parallelism — both to exercise actual HPC code paths
-//! and to keep large native test sizes fast. `par_for_rows` splits an index
-//! range over crossbeam scoped threads; each closure receives a disjoint
-//! sub-range, so no synchronisation is needed.
-
-/// Run `body(lo, hi)` over `threads` disjoint sub-ranges of `[start, end)`
-/// in parallel. `body` must be safe to run concurrently on disjoint ranges
-/// (the usual data-parallel contract).
-pub fn par_for_range<F>(start: u64, end: u64, threads: usize, body: F)
-where
-    F: Fn(u64, u64) + Sync,
-{
-    let n = end.saturating_sub(start);
-    if n == 0 {
-        return;
-    }
-    let threads = threads.clamp(1, n as usize);
-    if threads == 1 {
-        body(start, end);
-        return;
-    }
-    let chunk = n.div_ceil(threads as u64);
-    crossbeam::scope(|scope| {
-        let body = &body;
-        let mut lo = start;
-        while lo < end {
-            let hi = (lo + chunk).min(end);
-            scope.spawn(move |_| body(lo, hi));
-            lo = hi;
-        }
-    })
-    .expect("worker panicked");
-}
+//! and to keep large native test sizes fast. [`par_chunks_mut`] splits an
+//! output slice over crossbeam scoped threads; each closure receives a
+//! disjoint chunk, so no synchronisation is needed.
 
 /// Split a mutable f32 slice into `parts` disjoint chunks of `width` items
 /// each and apply `body(part_index, chunk)` in parallel. Useful when the
@@ -56,31 +27,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn par_for_range_covers_every_index_once() {
-        let sum = AtomicU64::new(0);
-        par_for_range(10, 1010, 7, |lo, hi| {
-            let mut local = 0;
-            for i in lo..hi {
-                local += i;
-            }
-            sum.fetch_add(local, Ordering::Relaxed);
-        });
-        let expect: u64 = (10..1010).sum();
-        assert_eq!(sum.load(Ordering::Relaxed), expect);
-    }
-
-    #[test]
-    fn par_for_range_handles_empty_and_tiny() {
-        par_for_range(5, 5, 4, |_, _| panic!("must not run"));
-        let hits = AtomicU64::new(0);
-        par_for_range(0, 2, 16, |lo, hi| {
-            hits.fetch_add(hi - lo, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
-    }
 
     #[test]
     fn par_chunks_mut_writes_disjoint() {

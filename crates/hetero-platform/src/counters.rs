@@ -98,19 +98,6 @@ impl PlatformCounters {
             self.devices[dev.0].items as f64 / total as f64
         }
     }
-
-    /// Fraction of task instances assigned to `dev` — how the paper reports
-    /// ratios for the dynamic strategies ("we count the number of task
-    /// instances assigned to the CPU and the GPU, and convert it to the
-    /// ratio").
-    pub fn task_share(&self, dev: DeviceId) -> f64 {
-        let total: u64 = self.devices.iter().map(|d| d.tasks).sum();
-        if total == 0 {
-            0.0
-        } else {
-            self.devices[dev.0].tasks as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,15 +111,12 @@ mod tests {
         c.record_task(DeviceId(1), 70, SimTime::from_millis(2));
         assert!((c.item_share(DeviceId(0)) - 0.3).abs() < 1e-12);
         assert!((c.item_share(DeviceId(1)) - 0.7).abs() < 1e-12);
-        let s = c.task_share(DeviceId(0)) + c.task_share(DeviceId(1));
-        assert!((s - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_counters_have_zero_share() {
         let c = PlatformCounters::new(2);
         assert_eq!(c.item_share(DeviceId(0)), 0.0);
-        assert_eq!(c.task_share(DeviceId(1)), 0.0);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.payload))
     }
 
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -115,19 +110,11 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_nanos(10), 1);
         q.push(SimTime::from_nanos(5), 0);
+        assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 0)));
         q.push(SimTime::from_nanos(7), 2);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 2)));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_matches_next_pop() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_nanos(42), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
-        assert_eq!(q.len(), 1);
     }
 }

@@ -65,13 +65,8 @@ pub fn chance(rng: &mut FaultRng, p: f64) -> bool {
 /// rates, link bandwidths (1–16 GB/s) and latencies (0–30 µs), and a
 /// random dynamic-scheduling overhead (0–10 µs). Device counts stay small
 /// so shrunk reproducers stay readable; rates span enough orders of
-/// magnitude to exercise both CPU-favoured and GPU-favoured plans.
-pub fn gen_platform(rng: &mut FaultRng) -> Platform {
-    gen_platform_spec(rng).build()
-}
-
-/// [`gen_platform`], returning the serializable [`PlatformSpec`] form the
-/// fuzz corpus persists.
+/// magnitude to exercise both CPU-favoured and GPU-favoured plans. Returns
+/// the serializable [`PlatformSpec`] form the fuzz corpus persists.
 pub fn gen_platform_spec(rng: &mut FaultRng) -> PlatformSpec {
     let threads = [2u32, 4, 6, 8][pick(rng, 4)];
     let cpu_peak = range_f64(rng, 40.0, 500.0);
@@ -243,7 +238,7 @@ mod tests {
         for seed in 0..50u64 {
             let mk = || {
                 let mut rng = FaultRng::new(seed);
-                let p = gen_platform(&mut rng);
+                let p = gen_platform_spec(&mut rng).build();
                 let s = gen_fault_schedule(&mut rng, &p, SimTime::from_millis(20));
                 (p, s)
             };
@@ -262,7 +257,7 @@ mod tests {
     fn generated_platforms_are_well_formed() {
         for seed in 0..100u64 {
             let mut rng = FaultRng::new(seed);
-            let p = gen_platform(&mut rng);
+            let p = gen_platform_spec(&mut rng).build();
             assert!(p.devices.len() >= 2 && p.devices.len() <= 4);
             assert!(p.cpu().spec.kind.is_cpu());
             for acc in p.accelerators() {
@@ -276,7 +271,7 @@ mod tests {
     fn generated_schedules_validate_for_their_platform() {
         for seed in 0..200u64 {
             let mut rng = FaultRng::new(seed);
-            let p = gen_platform(&mut rng);
+            let p = gen_platform_spec(&mut rng).build();
             let s = gen_fault_schedule(&mut rng, &p, SimTime::from_millis(50));
             assert_eq!(s.validate_for(&p), Ok(()));
             assert!(s.events.len() <= 4);

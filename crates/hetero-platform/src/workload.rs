@@ -108,16 +108,6 @@ impl KernelProfile {
     pub fn bytes(&self, items: u64) -> f64 {
         self.fixed_bytes + self.bytes_per_item * items as f64
     }
-
-    /// Arithmetic intensity in FLOPs/byte (ignoring fixed costs); infinite
-    /// for pure-compute kernels.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        if self.bytes_per_item == 0.0 {
-            f64::INFINITY
-        } else {
-            self.flops_per_item / self.bytes_per_item
-        }
-    }
 }
 
 #[cfg(test)]
@@ -136,19 +126,5 @@ mod tests {
         assert_eq!(p.flops(10), 120.0);
         assert_eq!(p.bytes(10), 130.0);
         assert_eq!(p.flops(0), 100.0);
-    }
-
-    #[test]
-    fn arithmetic_intensity() {
-        let p = KernelProfile {
-            flops_per_item: 4.0,
-            bytes_per_item: 16.0,
-            ..KernelProfile::compute_only(0.0)
-        };
-        assert_eq!(p.arithmetic_intensity(), 0.25);
-        assert_eq!(
-            KernelProfile::compute_only(5.0).arithmetic_intensity(),
-            f64::INFINITY
-        );
     }
 }

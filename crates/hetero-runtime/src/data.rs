@@ -30,11 +30,6 @@ pub struct BufferDesc {
 }
 
 impl BufferDesc {
-    /// Total footprint in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.items * self.item_bytes
-    }
-
     /// The full index range of the buffer.
     pub fn full(&self) -> Interval {
         Interval::new(0, self.items)
@@ -139,7 +134,6 @@ mod tests {
             items: 100,
             item_bytes: 8,
         };
-        assert_eq!(b.total_bytes(), 800);
         assert_eq!(b.full(), Interval::new(0, 100));
     }
 

@@ -108,28 +108,6 @@ impl TaskGraph {
         self.preds.is_empty()
     }
 
-    /// Tasks with no predecessors (within-graph roots).
-    pub fn roots(&self) -> Vec<TaskId> {
-        (0..self.len())
-            .filter(|&t| self.preds[t].is_empty())
-            .map(TaskId)
-            .collect()
-    }
-
-    /// A topological order (submission order is always one, since deps only
-    /// point backwards); verifies acyclicity by construction and is used by
-    /// the native executor.
-    pub fn topo_order(&self) -> Vec<TaskId> {
-        // Dependences always point to earlier TaskIds, so identity order is
-        // topological. Assert that invariant in debug builds.
-        debug_assert!(self
-            .preds
-            .iter()
-            .enumerate()
-            .all(|(t, ps)| ps.iter().all(|p| p.0 < t)));
-        (0..self.len()).map(TaskId).collect()
-    }
-
     /// Total number of edges (for tests/diagnostics).
     pub fn edge_count(&self) -> usize {
         self.preds.iter().map(Vec::len).sum()
@@ -326,18 +304,5 @@ mod tests {
         // scale partition i depends exactly on copy partition i.
         assert_eq!(g.preds[2], vec![TaskId(0)]);
         assert_eq!(g.preds[3], vec![TaskId(1)]);
-    }
-
-    #[test]
-    fn topo_order_is_submission_order() {
-        let g = build(|b| {
-            let x = b.buffer("x", 10, 4);
-            let k = b.kernel("k", KernelProfile::compute_only(1.0));
-            for _ in 0..5 {
-                b.submit_dynamic(k, 10, vec![Access::read_write(Region::new(x, 0, 10))]);
-            }
-        });
-        assert_eq!(g.topo_order(), (0..5).map(TaskId).collect::<Vec<_>>());
-        assert_eq!(g.roots(), vec![TaskId(0)]);
     }
 }

@@ -178,55 +178,6 @@ pub struct EpochRecord {
     pub counters: PlatformCounters,
 }
 
-/// Per-epoch metrics movement between two consecutive journal records —
-/// the "what did this epoch cost" view a streaming scrape would export.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct EpochDelta {
-    /// The epoch the delta describes.
-    pub epoch: usize,
-    /// Wall-clock the epoch spanned (flush-to-flush).
-    pub wall: SimTime,
-    /// Tasks completed in this epoch.
-    pub completed: u64,
-    /// Per-device items committed in this epoch.
-    pub items: Vec<u64>,
-    /// Per-device busy time committed in this epoch.
-    pub busy: Vec<SimTime>,
-    /// Transfer bytes moved in this epoch.
-    pub transfer_bytes: u64,
-    /// Task faults injected in this epoch.
-    pub task_faults: u64,
-}
-
-impl EpochRecord {
-    /// The metrics delta from `prev` (the preceding record, or `None` for
-    /// the first epoch) to this record.
-    pub fn delta_from(&self, prev: Option<&EpochRecord>) -> EpochDelta {
-        let base_at = prev.map(|p| p.at).unwrap_or(SimTime::ZERO);
-        let dev = |i: usize| -> (u64, SimTime) {
-            let cur = &self.counters.devices[i];
-            match prev {
-                Some(p) => {
-                    let old = &p.counters.devices[i];
-                    (cur.items - old.items, cur.busy.saturating_sub(old.busy))
-                }
-                None => (cur.items, cur.busy),
-            }
-        };
-        let n = self.counters.devices.len();
-        EpochDelta {
-            epoch: self.epoch,
-            wall: self.at.saturating_sub(base_at),
-            completed: self.completed - prev.map(|p| p.completed).unwrap_or(0),
-            items: (0..n).map(|i| dev(i).0).collect(),
-            busy: (0..n).map(|i| dev(i).1).collect(),
-            transfer_bytes: self.counters.transfers.bytes
-                - prev.map(|p| p.counters.transfers.bytes).unwrap_or(0),
-            task_faults: self.faults.task_faults - prev.map(|p| p.faults.task_faults).unwrap_or(0),
-        }
-    }
-}
-
 /// Why a journal could not be written, loaded, or replayed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalError {
@@ -286,8 +237,6 @@ pub enum JournalError {
         /// Simulated time of death.
         at: SimTime,
     },
-    /// An I/O failure reading or writing the journal file (CLI layer).
-    Io(String),
 }
 
 impl std::fmt::Display for JournalError {
@@ -338,7 +287,6 @@ impl std::fmt::Display for JournalError {
                     "killed by the kill schedule after {records} journal record(s) at {at}"
                 )
             }
-            JournalError::Io(msg) => write!(f, "journal I/O: {msg}"),
         }
     }
 }
@@ -370,6 +318,26 @@ fn decode_line(line: &str) -> Option<&str> {
     (fnv1a_64(body.as_bytes()) == want).then_some(body)
 }
 
+/// Check record line `i` (0-based after the header): its envelope and
+/// hash, its parse, and that it holds epoch `i`. Returns the record and its
+/// raw body.
+fn read_record(i: usize, line: &str) -> Result<(EpochRecord, &str), JournalError> {
+    let lineno = i + 2;
+    let body = decode_line(line).ok_or(JournalError::CorruptLine { line: lineno })?;
+    let record: EpochRecord = serde_json::from_str(body).map_err(|e| JournalError::BadParse {
+        line: lineno,
+        error: e.to_string(),
+    })?;
+    if record.epoch != i {
+        return Err(JournalError::NonSequentialEpoch {
+            line: lineno,
+            found: record.epoch,
+            expected: i,
+        });
+    }
+    Ok((record, body))
+}
+
 /// A loaded, validated journal: the parsed header and records plus their
 /// raw body bytes (resume validates against the bytes, not the parse).
 #[derive(Clone, Debug, PartialEq)]
@@ -393,6 +361,38 @@ impl RunJournal {
     /// fails its envelope, hash, parse, or sequence check is rejected
     /// with a typed error: mid-file corruption is never skipped over.
     pub fn load(text: &str) -> Result<Self, JournalError> {
+        match Self::read(text)? {
+            (journal, None) => Ok(journal),
+            (_, Some((error, _))) => Err(error),
+        }
+    }
+
+    /// Load `text`, salvaging the longest valid record prefix.
+    ///
+    /// Where [`RunJournal::load`] rejects the whole journal on the first
+    /// mid-file corruption, this keeps every record *before* the first bad
+    /// committed line and reports the cut as a typed [`SalvageReport`]
+    /// (first bad line, the reason strict load would have given, and how
+    /// many committed lines were discarded). The error path is reserved
+    /// for journals with nothing to salvage: empty text, an unreadable
+    /// header, or a version this build cannot read. A journal that loads
+    /// cleanly returns `(journal, None)`.
+    pub fn load_salvaged(text: &str) -> Result<(Self, Option<SalvageReport>), JournalError> {
+        let (journal, cut) = Self::read(text)?;
+        let salvage = cut.map(|(error, discarded_lines)| SalvageReport {
+            first_bad_line: journal.records.len() + 2,
+            reason: error.to_string(),
+            discarded_lines,
+        });
+        Ok((journal, salvage))
+    }
+
+    /// Read the header and every record up to the first committed line
+    /// that fails its envelope, hash, parse, or sequence check. That
+    /// line's typed error and the count of committed lines from it to the
+    /// end come back as the cut; the error is built only when a line is
+    /// bad.
+    fn read(text: &str) -> Result<(Self, Option<(JournalError, usize)>), JournalError> {
         if text.is_empty() {
             return Err(JournalError::Empty);
         }
@@ -419,115 +419,28 @@ impl RunJournal {
             .map_err(|(found, expected)| JournalError::VersionMismatch { found, expected })?;
         let mut records = Vec::with_capacity(record_lines.len());
         let mut bodies = Vec::with_capacity(record_lines.len());
+        let mut cut = None;
         for (i, &line) in record_lines.iter().enumerate() {
-            let lineno = i + 2;
-            let Some(body) = decode_line(line) else {
-                return Err(JournalError::CorruptLine { line: lineno });
-            };
-            let record: EpochRecord =
-                serde_json::from_str(body).map_err(|e| JournalError::BadParse {
-                    line: lineno,
-                    error: e.to_string(),
-                })?;
-            if record.epoch != i {
-                return Err(JournalError::NonSequentialEpoch {
-                    line: lineno,
-                    found: record.epoch,
-                    expected: i,
-                });
-            }
-            records.push(record);
-            bodies.push(body.to_string());
-        }
-        Ok(RunJournal {
-            header,
-            records,
-            torn_discarded,
-            bodies,
-        })
-    }
-
-    /// Load `text`, salvaging the longest valid record prefix.
-    ///
-    /// Where [`RunJournal::load`] rejects the whole journal on the first
-    /// mid-file corruption, this keeps every record *before* the first bad
-    /// committed line and reports the cut as a typed [`SalvageReport`]
-    /// (first bad line, the reason strict load would have given, and how
-    /// many committed lines were discarded). The error path is reserved
-    /// for journals with nothing to salvage: empty text, an unreadable
-    /// header, or a version this build cannot read. A journal that loads
-    /// cleanly returns `(journal, None)`.
-    pub fn load_salvaged(text: &str) -> Result<(Self, Option<SalvageReport>), JournalError> {
-        if text.is_empty() {
-            return Err(JournalError::Empty);
-        }
-        let mut committed: Vec<&str> = Vec::new();
-        let mut torn_discarded = false;
-        for seg in text.split_inclusive('\n') {
-            match seg.strip_suffix('\n') {
-                Some(line) => committed.push(line),
-                None => torn_discarded = true,
-            }
-        }
-        let Some((&header_line, record_lines)) = committed.split_first() else {
-            return Err(JournalError::MissingHeader);
-        };
-        let Some(header_body) = decode_line(header_line) else {
-            return Err(JournalError::MissingHeader);
-        };
-        let header: JournalHeader =
-            serde_json::from_str(header_body).map_err(|e| JournalError::BadParse {
-                line: 1,
-                error: e.to_string(),
-            })?;
-        validate_version(header.version, JOURNAL_VERSION)
-            .map_err(|(found, expected)| JournalError::VersionMismatch { found, expected })?;
-        let mut records = Vec::new();
-        let mut bodies = Vec::new();
-        let mut salvage = None;
-        for (i, &line) in record_lines.iter().enumerate() {
-            let lineno = i + 2;
-            let bad = |error: JournalError| SalvageReport {
-                first_bad_line: lineno,
-                reason: error.to_string(),
-                discarded_lines: record_lines.len() - i,
-            };
-            let Some(body) = decode_line(line) else {
-                salvage = Some(bad(JournalError::CorruptLine { line: lineno }));
-                break;
-            };
-            let record: EpochRecord = match serde_json::from_str(body) {
-                Ok(record) => record,
-                Err(e) => {
-                    salvage = Some(bad(JournalError::BadParse {
-                        line: lineno,
-                        error: e.to_string(),
-                    }));
+            match read_record(i, line) {
+                Ok((record, body)) => {
+                    records.push(record);
+                    bodies.push(body.to_string());
+                }
+                Err(error) => {
+                    cut = Some((error, record_lines.len() - i));
                     break;
                 }
-            };
-            if record.epoch != i {
-                salvage = Some(bad(JournalError::NonSequentialEpoch {
-                    line: lineno,
-                    found: record.epoch,
-                    expected: i,
-                }));
-                break;
             }
-            records.push(record);
-            bodies.push(body.to_string());
         }
-        Ok((
-            RunJournal {
-                header,
-                records,
-                // A cut prefix behaves exactly like a journal whose tail
-                // was never committed — resume re-executes from the cut.
-                torn_discarded: torn_discarded || salvage.is_some(),
-                bodies,
-            },
-            salvage,
-        ))
+        let journal = RunJournal {
+            header,
+            records,
+            // A cut prefix behaves exactly like a journal whose tail was
+            // never committed — resume re-executes from the cut.
+            torn_discarded: torn_discarded || cut.is_some(),
+            bodies,
+        };
+        Ok((journal, cut))
     }
 
     /// The number of committed epoch records.
@@ -876,29 +789,5 @@ mod tests {
             sink.begin(&other),
             Err(JournalError::HeaderMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn epoch_deltas_subtract_consecutive_records() {
-        let mut a = record(0);
-        a.counters.devices[0].items = 10;
-        a.counters.devices[0].busy = SimTime::from_millis(3);
-        a.counters.transfers.bytes = 100;
-        let mut b = record(1);
-        b.counters.devices[0].items = 25;
-        b.counters.devices[0].busy = SimTime::from_millis(8);
-        b.counters.transfers.bytes = 160;
-
-        let first = a.delta_from(None);
-        assert_eq!(first.items[0], 10);
-        assert_eq!(first.wall, SimTime::from_millis(1));
-
-        let d = b.delta_from(Some(&a));
-        assert_eq!(d.epoch, 1);
-        assert_eq!(d.items[0], 15);
-        assert_eq!(d.busy[0], SimTime::from_millis(5));
-        assert_eq!(d.transfer_bytes, 60);
-        assert_eq!(d.completed, 2);
-        assert_eq!(d.wall, SimTime::from_millis(1));
     }
 }

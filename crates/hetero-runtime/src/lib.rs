@@ -77,8 +77,8 @@ pub use health::{
 };
 pub use interval::{Interval, IntervalMap, IntervalSet};
 pub use journal::{
-    EpochDelta, EpochRecord, JournalError, JournalHeader, JournalSink, RngCursors, RunJournal,
-    SalvageReport, StreamConstants, JOURNAL_VERSION,
+    EpochRecord, JournalError, JournalHeader, JournalSink, RngCursors, RunJournal, SalvageReport,
+    StreamConstants, JOURNAL_VERSION,
 };
 pub use native::{run_native, run_native_parallel, ExecOrder, HostBuffers, KernelFn};
 pub use obs::{

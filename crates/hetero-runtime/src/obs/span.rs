@@ -11,12 +11,13 @@
 //! with a `cause` string naming the causal link.
 //!
 //! Exports: Brendan-Gregg folded stacks ([`SpanTree::to_folded`], loadable
-//! by speedscope and `flamegraph.pl` — `matchmake flame`), Chrome
-//! trace-event flow arrows splicing causal links into
-//! [`Trace::to_chrome_json`] output ([`SpanTree::to_chrome_json_with_flows`]),
-//! and `hm_span_seconds{kind}` gauges ([`SpanTree::export_metrics`]) whose
+//! by speedscope and `flamegraph.pl` — `matchmake flame`) and
+//! `hm_span_seconds{kind}` gauges ([`SpanTree::export_metrics`]) whose
 //! task/dead/idle kinds exactly tile `makespan × slots` — the same total
 //! the blame identity accounts for, checked by `tests/observability.rs`.
+//! The Chrome trace with causal flow arrows needs no span tree: it is
+//! [`Trace::to_chrome_json_with_flows`], which appends the arrows to the
+//! exporter's own event list.
 
 use super::metrics::MetricsRegistry;
 use crate::trace::{Trace, TraceEvent};
@@ -172,6 +173,19 @@ struct Slot {
     children: Vec<Span>,
 }
 
+/// Where a point event's span attaches; an event whose slot is not found
+/// falls back to its epoch.
+enum Parent {
+    /// The `(task, device)` slot the event happened in (the last one
+    /// covering its instant).
+    In(usize, usize),
+    /// The `(task, device)` slot the event caused (the first one ending at
+    /// or after its instant).
+    Caused(usize, usize),
+    /// The epoch containing the event.
+    Epoch,
+}
+
 impl SpanTree {
     /// Lift `trace` into the causal hierarchy. Epoch windows come from the
     /// taskwait flush events (a trace without flushes gets one synthetic
@@ -288,205 +302,153 @@ impl SpanTree {
         }
 
         // Attach point events to their causal parents.
+        use Parent::{Caused, Epoch, In};
         let mut extras: Vec<Vec<Span>> = vec![Vec::new(); epochs.len()];
-        let find_slot =
-            |slots: &mut Vec<Slot>, task: usize, dev: usize, at: SimTime| -> Option<usize> {
-                slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.task == task && s.dev == dev && s.start <= at && at <= s.end)
-                    .map(|(i, _)| i)
-                    .next_back()
-            };
-        let find_next_slot =
-            |slots: &mut Vec<Slot>, task: usize, dev: usize, at: SimTime| -> Option<usize> {
-                slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.task == task && s.dev == dev && s.end >= at)
-                    .map(|(i, _)| i)
-                    .next()
-            };
         for e in &trace.events {
-            match e {
+            let (kind, label, dev, cause, parent) = match e {
                 TraceEvent::TaskFault {
-                    task,
-                    dev,
-                    attempt,
-                    at,
-                } => {
-                    let span = Span::point(
-                        SpanKind::Retry,
-                        format!("retry attempt {attempt}"),
-                        Some(dev.0),
-                        *at,
-                        format!("task{} attempt {attempt} faulted on dev{}", task.0, dev.0),
-                    );
-                    match find_slot(&mut slots, task.0, dev.0, *at) {
-                        Some(i) => slots[i].children.push(span),
-                        None => extras[epoch_of(*at)].push(span),
-                    }
-                }
-                TraceEvent::Failover { task, from, to, at } => {
-                    let span = Span::point(
-                        SpanKind::Failover,
-                        format!("failover task{}", task.0),
-                        Some(to.0),
-                        *at,
-                        format!(
-                            "task{} lost with dev{}, re-dispatched to dev{}",
-                            task.0, from.0, to.0
-                        ),
-                    );
-                    match find_next_slot(&mut slots, task.0, to.0, *at) {
-                        Some(i) => slots[i].children.push(span),
-                        None => extras[epoch_of(*at)].push(span),
-                    }
-                }
-                TraceEvent::HedgeLaunched { task, from, to, at } => {
-                    let span = Span::point(
-                        SpanKind::Hedge,
-                        format!("hedge task{}", task.0),
-                        Some(to.0),
-                        *at,
-                        format!("slow primary on dev{}, replica on dev{}", from.0, to.0),
-                    );
-                    match find_next_slot(&mut slots, task.0, to.0, *at) {
-                        Some(i) => slots[i].children.push(span),
-                        None => extras[epoch_of(*at)].push(span),
-                    }
-                }
-                TraceEvent::HedgeWon { task, dev, at } => {
-                    let span = Span::point(
-                        SpanKind::HedgeWon,
-                        format!("hedge won task{}", task.0),
-                        Some(dev.0),
-                        *at,
-                        format!("replica on dev{} overtook the primary", dev.0),
-                    );
-                    match find_slot(&mut slots, task.0, dev.0, *at) {
-                        Some(i) => slots[i].children.push(span),
-                        None => extras[epoch_of(*at)].push(span),
-                    }
-                }
-                TraceEvent::CorruptionDetected { task, dev, at } => {
-                    extras[epoch_of(*at)].push(Span::point(
-                        SpanKind::Rollback,
-                        format!("rollback after task{}", task.0),
-                        Some(dev.0),
-                        *at,
-                        format!("corruption detected in task{} on dev{}", task.0, dev.0),
-                    ));
-                }
-                TraceEvent::DeviceDropout { dev, at } => {
-                    extras[epoch_of(*at)].push(Span::point(
-                        SpanKind::Dropout,
-                        format!("dropout dev{}", dev.0),
-                        Some(dev.0),
-                        *at,
-                        format!("dev{} died permanently", dev.0),
-                    ));
-                }
-                TraceEvent::CircuitOpen { dev, at } => {
-                    extras[epoch_of(*at)].push(Span::point(
-                        SpanKind::Circuit,
-                        format!("circuit open dev{}", dev.0),
-                        Some(dev.0),
-                        *at,
-                        format!("breaker quarantined dev{}", dev.0),
-                    ));
-                }
-                TraceEvent::CircuitClose { dev, at } => {
-                    extras[epoch_of(*at)].push(Span::point(
-                        SpanKind::Circuit,
-                        format!("circuit close dev{}", dev.0),
-                        Some(dev.0),
-                        *at,
-                        format!("breaker reclosed dev{}", dev.0),
-                    ));
-                }
+                    task, dev, attempt, ..
+                } => (
+                    SpanKind::Retry,
+                    format!("retry attempt {attempt}"),
+                    Some(dev.0),
+                    format!("task{} attempt {attempt} faulted on dev{}", task.0, dev.0),
+                    In(task.0, dev.0),
+                ),
+                TraceEvent::Failover { task, from, to, .. } => (
+                    SpanKind::Failover,
+                    format!("failover task{}", task.0),
+                    Some(to.0),
+                    format!(
+                        "task{} lost with dev{}, re-dispatched to dev{}",
+                        task.0, from.0, to.0
+                    ),
+                    Caused(task.0, to.0),
+                ),
+                TraceEvent::HedgeLaunched { task, from, to, .. } => (
+                    SpanKind::Hedge,
+                    format!("hedge task{}", task.0),
+                    Some(to.0),
+                    format!("slow primary on dev{}, replica on dev{}", from.0, to.0),
+                    Caused(task.0, to.0),
+                ),
+                TraceEvent::HedgeWon { task, dev, .. } => (
+                    SpanKind::HedgeWon,
+                    format!("hedge won task{}", task.0),
+                    Some(dev.0),
+                    format!("replica on dev{} overtook the primary", dev.0),
+                    In(task.0, dev.0),
+                ),
+                TraceEvent::CorruptionDetected { task, dev, .. } => (
+                    SpanKind::Rollback,
+                    format!("rollback after task{}", task.0),
+                    Some(dev.0),
+                    format!("corruption detected in task{} on dev{}", task.0, dev.0),
+                    Epoch,
+                ),
+                TraceEvent::DeviceDropout { dev, .. } => (
+                    SpanKind::Dropout,
+                    format!("dropout dev{}", dev.0),
+                    Some(dev.0),
+                    format!("dev{} died permanently", dev.0),
+                    Epoch,
+                ),
+                TraceEvent::CircuitOpen { dev, .. } => (
+                    SpanKind::Circuit,
+                    format!("circuit open dev{}", dev.0),
+                    Some(dev.0),
+                    format!("breaker quarantined dev{}", dev.0),
+                    Epoch,
+                ),
+                TraceEvent::CircuitClose { dev, .. } => (
+                    SpanKind::Circuit,
+                    format!("circuit close dev{}", dev.0),
+                    Some(dev.0),
+                    format!("breaker reclosed dev{}", dev.0),
+                    Epoch,
+                ),
                 TraceEvent::CorrelatedFaultTriggered {
                     domain,
                     source,
                     sibling,
-                    at,
                     ..
-                } => {
-                    extras[epoch_of(*at)].push(Span::point(
-                        SpanKind::Correlated,
-                        format!("correlated domain {domain}"),
-                        Some(sibling.0),
-                        *at,
-                        format!("fault on dev{} propagated to dev{}", source.0, sibling.0),
-                    ));
-                }
-                TraceEvent::ImbalanceDetected { epoch, skew, at } => {
-                    extras[epoch_of(*at)].push(Span::point(
-                        SpanKind::Imbalance,
-                        format!("imbalance epoch {epoch}"),
-                        None,
-                        *at,
-                        format!("observed skew {skew:.2} at the barrier"),
-                    ));
-                }
+                } => (
+                    SpanKind::Correlated,
+                    format!("correlated domain {domain}"),
+                    Some(sibling.0),
+                    format!("fault on dev{} propagated to dev{}", source.0, sibling.0),
+                    Epoch,
+                ),
+                TraceEvent::ImbalanceDetected { epoch, skew, .. } => (
+                    SpanKind::Imbalance,
+                    format!("imbalance epoch {epoch}"),
+                    None,
+                    format!("observed skew {skew:.2} at the barrier"),
+                    Epoch,
+                ),
                 TraceEvent::Repartitioned {
                     epoch,
                     gpu_items,
                     cpu_items,
-                    at,
-                } => {
-                    extras[epoch_of(*at)].push(Span::point(
-                        SpanKind::Repartition,
-                        format!("repartition epoch {epoch}"),
-                        None,
-                        *at,
-                        format!("rebalanced; next epoch gpu {gpu_items} / cpu {cpu_items}"),
-                    ));
-                }
-                TraceEvent::StrategyEscalated { epoch, at } => {
-                    extras[epoch_of(*at)].push(Span::point(
-                        SpanKind::Escalation,
-                        format!("escalate epoch {epoch}"),
-                        None,
-                        *at,
-                        "repartition budget exhausted; switching to DP-Perf".into(),
-                    ));
-                }
-                TraceEvent::StrategyReinstated { epoch, at } => {
-                    extras[epoch_of(*at)].push(Span::point(
-                        SpanKind::Reinstatement,
-                        format!("reinstate epoch {epoch}"),
-                        None,
-                        *at,
-                        "calm restored; returning to the static plan".into(),
-                    ));
-                }
-                TraceEvent::PlanRepaired { dev, moved, at } => {
-                    extras[epoch_of(*at)].push(Span::point(
-                        SpanKind::Replan,
-                        format!("plan repair after dev{}", dev.0),
-                        Some(dev.0),
-                        *at,
-                        format!(
-                            "dev{} lost; {moved} chunks re-planned onto survivors",
-                            dev.0
-                        ),
-                    ));
-                }
-                TraceEvent::DeviceReadmitted { dev, moved, at } => {
-                    extras[epoch_of(*at)].push(Span::point(
-                        SpanKind::Readmission,
-                        format!("readmit dev{}", dev.0),
-                        Some(dev.0),
-                        *at,
-                        format!("dev{} reclosed; {moved} chunks moved back", dev.0),
-                    ));
-                }
+                    ..
+                } => (
+                    SpanKind::Repartition,
+                    format!("repartition epoch {epoch}"),
+                    None,
+                    format!("rebalanced; next epoch gpu {gpu_items} / cpu {cpu_items}"),
+                    Epoch,
+                ),
+                TraceEvent::StrategyEscalated { epoch, .. } => (
+                    SpanKind::Escalation,
+                    format!("escalate epoch {epoch}"),
+                    None,
+                    "repartition budget exhausted; switching to DP-Perf".into(),
+                    Epoch,
+                ),
+                TraceEvent::StrategyReinstated { epoch, .. } => (
+                    SpanKind::Reinstatement,
+                    format!("reinstate epoch {epoch}"),
+                    None,
+                    "calm restored; returning to the static plan".into(),
+                    Epoch,
+                ),
+                TraceEvent::PlanRepaired { dev, moved, .. } => (
+                    SpanKind::Replan,
+                    format!("plan repair after dev{}", dev.0),
+                    Some(dev.0),
+                    format!(
+                        "dev{} lost; {moved} chunks re-planned onto survivors",
+                        dev.0
+                    ),
+                    Epoch,
+                ),
+                TraceEvent::DeviceReadmitted { dev, moved, .. } => (
+                    SpanKind::Readmission,
+                    format!("readmit dev{}", dev.0),
+                    Some(dev.0),
+                    format!("dev{} reclosed; {moved} chunks moved back", dev.0),
+                    Epoch,
+                ),
                 TraceEvent::Task { .. }
                 | TraceEvent::SlotHeld { .. }
                 | TraceEvent::Transfer { .. }
                 | TraceEvent::TransferRetry { .. }
-                | TraceEvent::Flush { .. } => {}
+                | TraceEvent::Flush { .. } => continue,
+            };
+            let at = e.at();
+            let slot = match parent {
+                In(task, dev) => slots
+                    .iter()
+                    .rposition(|s| s.task == task && s.dev == dev && s.start <= at && at <= s.end),
+                Caused(task, dev) => slots
+                    .iter()
+                    .position(|s| s.task == task && s.dev == dev && s.end >= at),
+                Epoch => None,
+            };
+            let span = Span::point(kind, label, dev, at, cause);
+            match slot {
+                Some(i) => slots[i].children.push(span),
+                None => extras[epoch_of(at)].push(span),
             }
         }
 
@@ -560,15 +522,6 @@ impl SpanTree {
             dev_slots,
             deaths,
         }
-    }
-
-    /// Total number of spans in the tree, root and point children
-    /// included.
-    pub fn span_count(&self) -> usize {
-        fn count(span: &Span) -> usize {
-            1 + span.children.iter().map(count).sum::<usize>()
-        }
-        count(&self.root)
     }
 
     /// Per-device task/dead/idle slot-second totals. The three kinds tile
@@ -653,140 +606,6 @@ impl SpanTree {
             }
         }
         out
-    }
-
-    /// [`Trace::to_chrome_json`] with causal flow arrows spliced in:
-    /// `ph:"s"`/`ph:"f"` event pairs linking each failover and hedge launch
-    /// to the task slot it caused, and each repartition/plan-repair/
-    /// readmission to the first task dispatched after it. Lane (tid)
-    /// assignment replays the chrome exporter's greedy algorithm so arrows
-    /// land on the rendered slices.
-    pub fn to_chrome_json_with_flows(trace: &Trace, platform: &Platform) -> String {
-        // Replay the chrome exporter's global greedy lane assignment.
-        let mut lanes: Vec<Vec<SimTime>> = platform.devices.iter().map(|_| Vec::new()).collect();
-        // (task, dev, start, lane) per slot, in trace order.
-        let mut slots: Vec<(usize, usize, SimTime, usize)> = Vec::new();
-        for e in &trace.events {
-            if let TraceEvent::Task {
-                task,
-                dev,
-                start,
-                end,
-                ..
-            }
-            | TraceEvent::SlotHeld {
-                task,
-                dev,
-                start,
-                end,
-                ..
-            } = e
-            {
-                let ls = &mut lanes[dev.0];
-                let lane = match ls.iter().position(|&free| free <= *start) {
-                    Some(i) => {
-                        ls[i] = *end;
-                        i
-                    }
-                    None => {
-                        ls.push(*end);
-                        ls.len() - 1
-                    }
-                };
-                slots.push((task.0, dev.0, *start, lane));
-            }
-        }
-        let next_slot = |task: usize, dev: usize, at: SimTime| {
-            slots
-                .iter()
-                .find(|&&(t, d, s, _)| t == task && d == dev && s >= at)
-                .copied()
-        };
-        let first_slot_after = |at: SimTime| slots.iter().find(|&&(_, _, s, _)| s >= at).copied();
-        let mut flows: Vec<serde_json::Value> = Vec::new();
-        let mut id = 0u64;
-        let mut arrow = |name: String,
-                         from: (usize, usize, SimTime),
-                         to: (usize, usize, SimTime),
-                         flows: &mut Vec<serde_json::Value>| {
-            id += 1;
-            for (ph, (pid, tid, ts)) in [("s", from), ("f", to)] {
-                let mut m = vec![
-                    ("name".to_string(), serde_json::Value::Str(name.clone())),
-                    ("ph".to_string(), serde_json::Value::Str(ph.into())),
-                    ("id".to_string(), serde_json::Value::U64(id)),
-                    ("ts".to_string(), serde_json::Value::F64(ts.as_micros_f64())),
-                    ("pid".to_string(), serde_json::Value::U64(pid as u64)),
-                    ("tid".to_string(), serde_json::Value::U64(tid as u64)),
-                ];
-                if ph == "f" {
-                    m.push(("bp".to_string(), serde_json::Value::Str("e".into())));
-                }
-                flows.push(serde_json::Value::Map(m));
-            }
-        };
-        let interconnect = platform.devices.len();
-        for e in &trace.events {
-            match e {
-                TraceEvent::Failover { task, from, to, at } => {
-                    if let Some((_, d, s, lane)) = next_slot(task.0, to.0, *at) {
-                        arrow(
-                            format!("failover task{}", task.0),
-                            (from.0, 63, *at),
-                            (d, lane, s),
-                            &mut flows,
-                        );
-                    }
-                }
-                TraceEvent::HedgeLaunched { task, from, to, at } => {
-                    if let Some((_, d, s, lane)) = next_slot(task.0, to.0, *at) {
-                        arrow(
-                            format!("hedge task{}", task.0),
-                            (from.0, 63, *at),
-                            (d, lane, s),
-                            &mut flows,
-                        );
-                    }
-                }
-                TraceEvent::Repartitioned { epoch, at, .. } => {
-                    if let Some((_, d, s, lane)) = first_slot_after(*at) {
-                        arrow(
-                            format!("repartition epoch {epoch}"),
-                            (interconnect, 63, *at),
-                            (d, lane, s),
-                            &mut flows,
-                        );
-                    }
-                }
-                TraceEvent::PlanRepaired { dev, at, .. } => {
-                    if let Some((_, d, s, lane)) = first_slot_after(*at) {
-                        arrow(
-                            format!("plan repair after dev{}", dev.0),
-                            (interconnect, 63, *at),
-                            (d, lane, s),
-                            &mut flows,
-                        );
-                    }
-                }
-                TraceEvent::DeviceReadmitted { dev, at, .. } => {
-                    if let Some((_, d, s, lane)) = first_slot_after(*at) {
-                        arrow(
-                            format!("readmit dev{}", dev.0),
-                            (interconnect, 63, *at),
-                            (d, lane, s),
-                            &mut flows,
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-        let base = trace.to_chrome_json(platform);
-        let mut all: serde_json::Value = serde_json::from_str(&base).expect("chrome JSON parses");
-        if let serde_json::Value::Seq(events) = &mut all {
-            events.extend(flows);
-        }
-        serde_json::to_string_pretty(&all).expect("chrome JSON serializes")
     }
 }
 
@@ -899,44 +718,5 @@ mod tests {
             .series
             .keys()
             .any(|k| k.starts_with("hm_span_seconds{") && k.contains("kind=\"task\"")));
-    }
-
-    #[test]
-    fn flow_arrows_land_on_caused_slots() {
-        let platform = Platform::test_small();
-        let trace = Trace {
-            events: vec![
-                task(0, 1, 0, 10),
-                TraceEvent::DeviceDropout {
-                    dev: DeviceId(1),
-                    at: SimTime::from_micros(10),
-                },
-                TraceEvent::Failover {
-                    task: TaskId(1),
-                    from: DeviceId(1),
-                    to: DeviceId(0),
-                    at: SimTime::from_micros(10),
-                },
-                task(1, 0, 10, 30),
-                flush(0, 30, 31),
-            ],
-        };
-        let json = SpanTree::to_chrome_json_with_flows(&trace, &platform);
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let events = v.as_array().unwrap();
-        let starts: Vec<_> = events
-            .iter()
-            .filter(|e| e["ph"].as_str() == Some("s"))
-            .collect();
-        let finishes: Vec<_> = events
-            .iter()
-            .filter(|e| e["ph"].as_str() == Some("f"))
-            .collect();
-        assert_eq!(starts.len(), 1);
-        assert_eq!(finishes.len(), 1);
-        assert_eq!(starts[0]["id"], finishes[0]["id"]);
-        // The arrow lands on device 0 at the failover re-run's start.
-        assert_eq!(finishes[0]["pid"].as_u64(), Some(0));
-        assert_eq!(finishes[0]["ts"].as_f64(), Some(10.0));
     }
 }

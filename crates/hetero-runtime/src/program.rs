@@ -232,15 +232,6 @@ impl Program {
         epochs
     }
 
-    /// Total items across all instances of a kernel (sanity checks).
-    pub fn kernel_items(&self, kernel: KernelId) -> u64 {
-        self.tasks()
-            .iter()
-            .filter(|(_, t)| t.kernel == kernel)
-            .map(|(_, t)| t.items)
-            .sum()
-    }
-
     /// Validate internal consistency: buffer/kernel indices in range and
     /// regions within their buffers. Returns the first violation as a
     /// typed [`PlanError`].
@@ -420,10 +411,8 @@ mod tests {
     }
 
     #[test]
-    fn task_count_and_kernel_items() {
-        let p = tiny_program();
-        assert_eq!(p.task_count(), 3);
-        assert_eq!(p.kernel_items(KernelId(0)), 200);
+    fn task_count_counts_instances() {
+        assert_eq!(tiny_program().task_count(), 3);
     }
 
     #[test]

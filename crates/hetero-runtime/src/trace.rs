@@ -5,10 +5,17 @@
 //! transfer, and the taskwait flush windows. Traces power debugging, the
 //! timeline example, and tests that assert *when* things happened rather
 //! than only aggregate counters.
+//!
+//! Exports: an ASCII utilisation gantt ([`Trace::gantt`]) and Chrome
+//! trace-event JSON ([`Trace::to_chrome_json`]). One pass builds the Chrome
+//! events and records the lane each task slot was drawn on;
+//! [`Trace::to_chrome_json_with_flows`] appends causal flow arrows to that
+//! same event list, so every arrow lands on a rendered slice.
 
 use crate::program::{KernelId, TaskId};
 use hetero_platform::{DeviceId, MemSpaceId, Platform, SimTime};
 use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 
 /// Default bucket count for ASCII gantt rendering, shared by the bench
 /// binary and the examples (`--width` overrides it in `matchmake`).
@@ -323,19 +330,6 @@ impl Trace {
         })
     }
 
-    /// Total busy time recorded for one device across all its slots.
-    pub fn device_busy(&self, dev: DeviceId) -> SimTime {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Task {
-                    dev: d, start, end, ..
-                } if *d == dev => Some(*end - *start),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// The latest instant any recorded event touches ([`TraceEvent::at`]
     /// maximised over the trace); zero for an empty trace.
     pub fn end_time(&self) -> SimTime {
@@ -402,6 +396,10 @@ impl Trace {
     }
 }
 
+/// A task or held slot as the Chrome exporter drew it:
+/// `(task, device, start, lane)`, where the lane is the slice's `tid`.
+type DrawnSlot = (TaskId, DeviceId, SimTime, usize);
+
 impl Trace {
     /// Export as Chrome trace-event JSON (load in `chrome://tracing` or
     /// Perfetto). Tasks become complete (`"ph":"X"`) events; each device is
@@ -410,57 +408,105 @@ impl Trace {
     /// Transfers and flush windows appear under a synthetic "interconnect"
     /// process.
     pub fn to_chrome_json(&self, platform: &Platform) -> String {
-        #[derive(serde::Serialize)]
-        struct Ev<'a> {
-            name: String,
-            ph: &'a str,
-            ts: f64,
-            dur: f64,
-            pid: usize,
-            tid: usize,
-            args: serde_json::Value,
+        let (events, _) = self.chrome_events(platform);
+        serde_json::to_string_pretty(&events).expect("serializable")
+    }
+
+    /// [`Trace::to_chrome_json`] with causal flow arrows appended:
+    /// `ph:"s"`/`ph:"f"` event pairs linking each failover and hedge launch
+    /// to the task slot it caused, and each repartition/plan-repair/
+    /// readmission to the first task dispatched after it. Each `f` end
+    /// carries the lane the exporter drew that slot on, so arrows land on
+    /// the rendered slices.
+    pub fn to_chrome_json_with_flows(&self, platform: &Platform) -> String {
+        let (mut events, slots) = self.chrome_events(platform);
+        let next_slot = |task: TaskId, dev: DeviceId, at: SimTime| {
+            slots
+                .iter()
+                .find(|&&(t, d, s, _)| t == task && d == dev && s >= at)
+        };
+        let first_slot_after = |at: SimTime| slots.iter().find(|&&(_, _, s, _)| s >= at);
+        let interconnect = platform.devices.len();
+        let mut id = 0u64;
+        for e in &self.events {
+            // The arrow's name, the process row it leaves from, and the
+            // slot it lands on.
+            let (name, from, to) = match e {
+                TraceEvent::Failover { task, from, to, at } => (
+                    format!("failover task{}", task.0),
+                    from.0,
+                    next_slot(*task, *to, *at),
+                ),
+                TraceEvent::HedgeLaunched { task, from, to, at } => (
+                    format!("hedge task{}", task.0),
+                    from.0,
+                    next_slot(*task, *to, *at),
+                ),
+                TraceEvent::Repartitioned { epoch, at, .. } => (
+                    format!("repartition epoch {epoch}"),
+                    interconnect,
+                    first_slot_after(*at),
+                ),
+                TraceEvent::PlanRepaired { dev, at, .. } => (
+                    format!("plan repair after dev{}", dev.0),
+                    interconnect,
+                    first_slot_after(*at),
+                ),
+                TraceEvent::DeviceReadmitted { dev, at, .. } => (
+                    format!("readmit dev{}", dev.0),
+                    interconnect,
+                    first_slot_after(*at),
+                ),
+                _ => continue,
+            };
+            let Some(&(_, dev, start, lane)) = to else {
+                continue;
+            };
+            id += 1;
+            events.push(json!({
+                "name": &name,
+                "ph": "s",
+                "id": id,
+                "ts": e.at().as_micros_f64(),
+                "pid": from,
+                "tid": 63,
+            }));
+            events.push(json!({
+                "name": name,
+                "ph": "f",
+                "id": id,
+                "ts": start.as_micros_f64(),
+                "pid": dev.0,
+                "tid": lane,
+                "bp": "e",
+            }));
         }
-        let mut events: Vec<Ev> = Vec::new();
+        serde_json::to_string_pretty(&events).expect("serializable")
+    }
+
+    /// The Chrome events of the trace in recording order, plus every task
+    /// and held slot in the same order.
+    fn chrome_events(&self, platform: &Platform) -> (Vec<Value>, Vec<DrawnSlot>) {
+        let interconnect = platform.devices.len();
+        let mut events = Vec::new();
+        let mut slots = Vec::new();
         // Greedy lane assignment per device.
-        let mut lanes: Vec<Vec<SimTime>> = platform.devices.iter().map(|_| Vec::new()).collect();
+        let mut lanes: Vec<Vec<SimTime>> = vec![Vec::new(); interconnect];
         // Cumulative per-device slot busy, sampled as a counter track at
         // each flush barrier.
-        let mut cum_busy: Vec<SimTime> = vec![SimTime::ZERO; platform.devices.len()];
+        let mut cum_busy: Vec<SimTime> = vec![SimTime::ZERO; interconnect];
         for e in &self.events {
-            match e {
+            // Point events share lane 63 of their process row.
+            let (name, pid, tid, args) = match e {
                 TraceEvent::Task {
                     task,
                     kernel,
                     dev,
-                    items,
                     start,
                     end,
-                } => {
-                    cum_busy[dev.0] += *end - *start;
-                    let lane = {
-                        let ls = &mut lanes[dev.0];
-                        match ls.iter().position(|&free| free <= *start) {
-                            Some(i) => {
-                                ls[i] = *end;
-                                i
-                            }
-                            None => {
-                                ls.push(*end);
-                                ls.len() - 1
-                            }
-                        }
-                    };
-                    events.push(Ev {
-                        name: format!("task{} (k{})", task.0, kernel.0),
-                        ph: "X",
-                        ts: start.as_micros_f64(),
-                        dur: (*end - *start).as_micros_f64(),
-                        pid: dev.0,
-                        tid: lane,
-                        args: serde_json::json!({ "items": items }),
-                    });
+                    ..
                 }
-                TraceEvent::SlotHeld {
+                | TraceEvent::SlotHeld {
                     task,
                     kernel,
                     dev,
@@ -468,286 +514,194 @@ impl Trace {
                     end,
                 } => {
                     cum_busy[dev.0] += *end - *start;
-                    let lane = {
-                        let ls = &mut lanes[dev.0];
-                        match ls.iter().position(|&free| free <= *start) {
-                            Some(i) => {
-                                ls[i] = *end;
-                                i
-                            }
-                            None => {
-                                ls.push(*end);
-                                ls.len() - 1
-                            }
+                    let ls = &mut lanes[dev.0];
+                    let lane = match ls.iter().position(|&free| free <= *start) {
+                        Some(i) => {
+                            ls[i] = *end;
+                            i
+                        }
+                        None => {
+                            ls.push(*end);
+                            ls.len() - 1
                         }
                     };
-                    events.push(Ev {
-                        name: format!("task{} HELD (k{})", task.0, kernel.0),
-                        ph: "X",
-                        ts: start.as_micros_f64(),
-                        dur: (*end - *start).as_micros_f64(),
-                        pid: dev.0,
-                        tid: lane,
-                        args: serde_json::Value::Null,
-                    });
+                    slots.push((*task, *dev, *start, lane));
+                    match e {
+                        TraceEvent::Task { items, .. } => (
+                            format!("task{} (k{})", task.0, kernel.0),
+                            dev.0,
+                            lane,
+                            json!({ "items": items }),
+                        ),
+                        _ => (
+                            format!("task{} HELD (k{})", task.0, kernel.0),
+                            dev.0,
+                            lane,
+                            Value::Null,
+                        ),
+                    }
                 }
                 TraceEvent::Transfer {
-                    from,
-                    to,
-                    bytes,
-                    start,
-                    end,
-                } => {
-                    events.push(Ev {
-                        name: format!("xfer mem{}->mem{} ({} B)", from.0, to.0, bytes),
-                        ph: "X",
-                        ts: start.as_micros_f64(),
-                        dur: (*end - *start).as_micros_f64(),
-                        pid: platform.devices.len(),
-                        tid: from.0,
-                        args: serde_json::json!({ "bytes": bytes }),
-                    });
-                }
-                TraceEvent::Flush { epoch, start, end } => {
-                    events.push(Ev {
-                        name: format!("taskwait flush #{epoch}"),
-                        ph: "X",
-                        ts: start.as_micros_f64(),
-                        dur: (*end - *start).as_micros_f64(),
-                        pid: platform.devices.len(),
-                        tid: 64,
-                        args: serde_json::Value::Null,
-                    });
-                    // Blame counter track: cumulative slot-busy seconds per
-                    // device, sampled at each barrier (renders as stacked
-                    // counter series in chrome://tracing / Perfetto).
-                    events.push(Ev {
-                        name: String::from("cumulative busy (s)"),
-                        ph: "C",
-                        ts: end.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 65,
-                        args: serde_json::Value::Map(
-                            platform
-                                .devices
-                                .iter()
-                                .map(|d| {
-                                    (
-                                        d.spec.name.clone(),
-                                        serde_json::Value::F64(cum_busy[d.id.0].as_secs_f64()),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    });
-                }
+                    from, to, bytes, ..
+                } => (
+                    format!("xfer mem{}->mem{} ({} B)", from.0, to.0, bytes),
+                    interconnect,
+                    from.0,
+                    json!({ "bytes": bytes }),
+                ),
                 TraceEvent::TransferRetry {
-                    from,
-                    to,
-                    bytes,
-                    start,
-                    end,
-                } => {
-                    events.push(Ev {
-                        name: format!("xfer RETRY mem{}->mem{} ({} B)", from.0, to.0, bytes),
-                        ph: "X",
-                        ts: start.as_micros_f64(),
-                        dur: (*end - *start).as_micros_f64(),
-                        pid: platform.devices.len(),
-                        tid: from.0,
-                        args: serde_json::json!({ "bytes": bytes }),
-                    });
-                }
+                    from, to, bytes, ..
+                } => (
+                    format!("xfer RETRY mem{}->mem{} ({} B)", from.0, to.0, bytes),
+                    interconnect,
+                    from.0,
+                    json!({ "bytes": bytes }),
+                ),
+                TraceEvent::Flush { epoch, .. } => (
+                    format!("taskwait flush #{epoch}"),
+                    interconnect,
+                    64,
+                    Value::Null,
+                ),
                 TraceEvent::TaskFault {
-                    task,
-                    dev,
-                    attempt,
-                    at,
-                } => {
-                    events.push(Ev {
-                        name: format!("FAULT task{} attempt {attempt}", task.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::json!({ "attempt": attempt }),
-                    });
+                    task, dev, attempt, ..
+                } => (
+                    format!("FAULT task{} attempt {attempt}", task.0),
+                    dev.0,
+                    63,
+                    json!({ "attempt": attempt }),
+                ),
+                TraceEvent::DeviceDropout { dev, .. } => {
+                    (format!("DROPOUT device {}", dev.0), dev.0, 63, Value::Null)
                 }
-                TraceEvent::DeviceDropout { dev, at } => {
-                    events.push(Ev {
-                        name: format!("DROPOUT device {}", dev.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
+                TraceEvent::Failover { task, from, to, .. } => (
+                    format!("FAILOVER task{} dev{}->dev{}", task.0, from.0, to.0),
+                    to.0,
+                    63,
+                    Value::Null,
+                ),
+                TraceEvent::HedgeLaunched { task, from, to, .. } => (
+                    format!("HEDGE task{} dev{}->dev{}", task.0, from.0, to.0),
+                    to.0,
+                    63,
+                    Value::Null,
+                ),
+                TraceEvent::HedgeWon { task, dev, .. } => {
+                    (format!("HEDGE WON task{}", task.0), dev.0, 63, Value::Null)
                 }
-                TraceEvent::Failover { task, from, to, at } => {
-                    events.push(Ev {
-                        name: format!("FAILOVER task{} dev{}->dev{}", task.0, from.0, to.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: to.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
+                TraceEvent::CorruptionDetected { task, dev, .. } => {
+                    (format!("CORRUPT task{}", task.0), dev.0, 63, Value::Null)
                 }
-                TraceEvent::HedgeLaunched { task, from, to, at } => {
-                    events.push(Ev {
-                        name: format!("HEDGE task{} dev{}->dev{}", task.0, from.0, to.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: to.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
-                TraceEvent::HedgeWon { task, dev, at } => {
-                    events.push(Ev {
-                        name: format!("HEDGE WON task{}", task.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
-                TraceEvent::CorruptionDetected { task, dev, at } => {
-                    events.push(Ev {
-                        name: format!("CORRUPT task{}", task.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
-                TraceEvent::CircuitOpen { dev, at } => {
-                    events.push(Ev {
-                        name: format!("CIRCUIT OPEN device {}", dev.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
-                TraceEvent::CircuitClose { dev, at } => {
-                    events.push(Ev {
-                        name: format!("CIRCUIT CLOSE device {}", dev.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
-                TraceEvent::ImbalanceDetected { epoch, skew, at } => {
-                    events.push(Ev {
-                        name: format!("IMBALANCE epoch {epoch} (skew {skew:.2})"),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 63,
-                        args: serde_json::json!({ "skew": skew }),
-                    });
-                }
+                TraceEvent::CircuitOpen { dev, .. } => (
+                    format!("CIRCUIT OPEN device {}", dev.0),
+                    dev.0,
+                    63,
+                    Value::Null,
+                ),
+                TraceEvent::CircuitClose { dev, .. } => (
+                    format!("CIRCUIT CLOSE device {}", dev.0),
+                    dev.0,
+                    63,
+                    Value::Null,
+                ),
+                TraceEvent::ImbalanceDetected { epoch, skew, .. } => (
+                    format!("IMBALANCE epoch {epoch} (skew {skew:.2})"),
+                    interconnect,
+                    63,
+                    json!({ "skew": skew }),
+                ),
                 TraceEvent::Repartitioned {
                     epoch,
                     gpu_items,
                     cpu_items,
-                    at,
-                } => {
-                    events.push(Ev {
-                        name: format!(
-                            "REPARTITION epoch {epoch} (next epoch gpu {gpu_items} / cpu {cpu_items})"
-                        ),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 63,
-                        args: serde_json::json!({ "gpu_items": gpu_items, "cpu_items": cpu_items }),
-                    });
-                }
-                TraceEvent::StrategyEscalated { epoch, at } => {
-                    events.push(Ev {
-                        name: format!("ESCALATE epoch {epoch} -> DP-Perf"),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
+                    ..
+                } => (
+                    format!(
+                        "REPARTITION epoch {epoch} (next epoch gpu {gpu_items} / cpu {cpu_items})"
+                    ),
+                    interconnect,
+                    63,
+                    json!({ "gpu_items": gpu_items, "cpu_items": cpu_items }),
+                ),
+                TraceEvent::StrategyEscalated { epoch, .. } => (
+                    format!("ESCALATE epoch {epoch} -> DP-Perf"),
+                    interconnect,
+                    63,
+                    Value::Null,
+                ),
                 TraceEvent::CorrelatedFaultTriggered {
                     domain,
                     source,
                     sibling,
                     until,
-                    at,
-                } => {
-                    events.push(Ev {
-                        name: format!(
-                            "CORRELATED domain {domain} dev{}->dev{}",
-                            source.0, sibling.0
-                        ),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: sibling.0,
-                        tid: 63,
-                        args: serde_json::json!({ "until_us": until.as_micros_f64() }),
-                    });
-                }
-                TraceEvent::StrategyReinstated { epoch, at } => {
-                    events.push(Ev {
-                        name: format!("REINSTATE epoch {epoch} -> static plan"),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
-                TraceEvent::PlanRepaired { dev, moved, at } => {
-                    events.push(Ev {
-                        name: format!("PLAN REPAIR after dev{} ({moved} moved)", dev.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 63,
-                        args: serde_json::json!({ "moved": moved }),
-                    });
-                }
-                TraceEvent::DeviceReadmitted { dev, moved, at } => {
-                    events.push(Ev {
-                        name: format!("READMIT dev{} ({moved} moved)", dev.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::json!({ "moved": moved }),
-                    });
-                }
+                    ..
+                } => (
+                    format!(
+                        "CORRELATED domain {domain} dev{}->dev{}",
+                        source.0, sibling.0
+                    ),
+                    sibling.0,
+                    63,
+                    json!({ "until_us": until.as_micros_f64() }),
+                ),
+                TraceEvent::StrategyReinstated { epoch, .. } => (
+                    format!("REINSTATE epoch {epoch} -> static plan"),
+                    interconnect,
+                    63,
+                    Value::Null,
+                ),
+                TraceEvent::PlanRepaired { dev, moved, .. } => (
+                    format!("PLAN REPAIR after dev{} ({moved} moved)", dev.0),
+                    interconnect,
+                    63,
+                    json!({ "moved": moved }),
+                ),
+                TraceEvent::DeviceReadmitted { dev, moved, .. } => (
+                    format!("READMIT dev{} ({moved} moved)", dev.0),
+                    dev.0,
+                    63,
+                    json!({ "moved": moved }),
+                ),
+            };
+            let (ts, dur) = match e.span() {
+                Some((start, end)) => (start, end - start),
+                None => (e.at(), SimTime::ZERO),
+            };
+            events.push(json!({
+                "name": name,
+                "ph": "X",
+                "ts": ts.as_micros_f64(),
+                "dur": dur.as_micros_f64(),
+                "pid": pid,
+                "tid": tid,
+                "args": args,
+            }));
+            if let TraceEvent::Flush { end, .. } = e {
+                // Blame counter track: cumulative slot-busy seconds per
+                // device, sampled at each barrier (renders as stacked
+                // counter series in chrome://tracing / Perfetto).
+                let busy = platform
+                    .devices
+                    .iter()
+                    .map(|d| {
+                        (
+                            d.spec.name.clone(),
+                            Value::F64(cum_busy[d.id.0].as_secs_f64()),
+                        )
+                    })
+                    .collect();
+                events.push(json!({
+                    "name": "cumulative busy (s)",
+                    "ph": "C",
+                    "ts": end.as_micros_f64(),
+                    "dur": 0.0,
+                    "pid": interconnect,
+                    "tid": 65,
+                    "args": Value::Map(busy),
+                }));
             }
         }
-        serde_json::to_string_pretty(&events).expect("serializable")
+        (events, slots)
     }
 }
 
@@ -764,15 +718,6 @@ mod tests {
             start: SimTime::from_millis(s),
             end: SimTime::from_millis(e),
         }
-    }
-
-    #[test]
-    fn device_busy_sums_task_spans() {
-        let trace = Trace {
-            events: vec![t(0, 0, 0, 10), t(1, 0, 5, 20), t(2, 1, 0, 7)],
-        };
-        assert_eq!(trace.device_busy(DeviceId(0)), SimTime::from_millis(25));
-        assert_eq!(trace.device_busy(DeviceId(1)), SimTime::from_millis(7));
     }
 
     #[test]
@@ -818,6 +763,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn flow_arrows_land_on_caused_slots() {
+        let platform = hetero_platform::Platform::test_small();
+        let trace = Trace {
+            events: vec![
+                t(0, 1, 0, 10),
+                TraceEvent::DeviceDropout {
+                    dev: DeviceId(1),
+                    at: SimTime::from_millis(10),
+                },
+                TraceEvent::Failover {
+                    task: TaskId(1),
+                    from: DeviceId(1),
+                    to: DeviceId(0),
+                    at: SimTime::from_millis(10),
+                },
+                t(1, 0, 10, 30),
+                TraceEvent::Flush {
+                    epoch: 0,
+                    start: SimTime::from_millis(30),
+                    end: SimTime::from_millis(31),
+                },
+            ],
+        };
+        let json = trace.to_chrome_json_with_flows(&platform);
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let events = v.as_array().unwrap();
+        let starts: Vec<_> = events
+            .iter()
+            .filter(|e| e["ph"].as_str() == Some("s"))
+            .collect();
+        let finishes: Vec<_> = events
+            .iter()
+            .filter(|e| e["ph"].as_str() == Some("f"))
+            .collect();
+        assert_eq!(starts.len(), 1);
+        assert_eq!(finishes.len(), 1);
+        assert_eq!(starts[0]["id"], finishes[0]["id"]);
+        // The arrow lands on device 0 at the failover re-run's start.
+        assert_eq!(finishes[0]["pid"].as_u64(), Some(0));
+        assert_eq!(finishes[0]["ts"].as_f64(), Some(10_000.0));
     }
 
     #[test]

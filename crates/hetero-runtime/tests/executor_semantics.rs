@@ -349,12 +349,9 @@ fn traced_run_matches_untraced_report() {
         assert!(start <= end);
         assert!(*end <= traced.makespan);
     }
-    for d in 0..platform.devices.len() {
-        assert_eq!(
-            trace.device_busy(DeviceId(d)),
-            traced.counters.devices[d].busy,
-            "device {d}"
-        );
+    let spans = hetero_runtime::SpanTree::from_trace(&trace, &platform).device_span_seconds();
+    for (d, s) in spans.iter().enumerate() {
+        assert_eq!(s.task, traced.counters.devices[d].busy, "device {d}");
     }
 
     // A flush event per taskwait plus the final implicit one.

@@ -5,11 +5,16 @@
 //! blame identity, and streamed metrics deltas fold back to the end-of-run
 //! registry on every execution path.
 
+use std::path::PathBuf;
+
 use hetero_match::apps::{paper_apps, synth};
 use hetero_match::matchmaker::{
-    Analyzer, ExecutionConfig, ExecutionFlow, JournalSink, Planner, ProfileStore, RunSpec, Strategy,
+    load_corpus, Analyzer, ExecutionConfig, ExecutionFlow, JournalSink, Planner, ProfileStore,
+    RunSpec, Scenario, Strategy,
 };
-use hetero_match::platform::{fnv1a_64, DeviceId, FaultSchedule, Platform, RetryPolicy, SimTime};
+use hetero_match::platform::{
+    fnv1a_64, DeviceId, FaultRng, FaultSchedule, Platform, RetryPolicy, SimTime,
+};
 use hetero_match::runtime::{
     fold_stream, simulate, simulate_observed, AdaptConfig, CriticalPath, HealthConfig,
     MetricsObserver, MetricsRegistry, MultiObserver, NullObserver, PinnedScheduler, ReplanConfig,
@@ -283,6 +288,71 @@ fn span_tree_tiles_capacity_under_faults() {
     // The dropout shows up as a causal child of its epoch.
     let folded = tree.to_folded();
     assert!(!folded.is_empty());
+}
+
+/// The flow-arrow export draws on the Chrome exporter's own slices: on
+/// every checked-in fuzz-corpus scenario and a few generated ones, under
+/// all five run modes, each arrow's `f` end shares `pid`, `tid` and `ts`
+/// with an `"X"` slice, and the document minus its `s`/`f` events is
+/// byte-for-byte the plain Chrome export.
+#[test]
+fn flow_arrows_land_on_exported_slices() {
+    let corpus = load_corpus(&PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fuzz_corpus"));
+    let scenarios: Vec<Scenario> = corpus
+        .into_iter()
+        .map(|(_, entry)| entry.scenario)
+        .chain((0..8).map(|i| Scenario::generate(FaultRng::new(0xF10 + i).next_u64())))
+        .collect();
+    let mut arrows = 0;
+    for sc in &scenarios {
+        let platform = sc.platform.build();
+        let analyzer = Analyzer::new(&platform);
+        let health = HealthConfig::monitored();
+        let specs = [
+            RunSpec::plain(),
+            RunSpec::faulty(sc.schedule.clone()),
+            RunSpec::resilient(sc.schedule.clone(), health),
+            RunSpec::adaptive(sc.schedule.clone(), health, AdaptConfig::enabled_default()),
+            RunSpec::repairing(
+                sc.schedule.clone(),
+                health,
+                AdaptConfig::disabled(),
+                ReplanConfig::enabled_default(),
+            ),
+        ];
+        for spec in specs {
+            let what = format!("{} ({:?})", sc.name, spec.mode);
+            let mut tobs = TraceObserver::new();
+            analyzer
+                .run(&sc.descriptor, sc.config, &spec, &mut tobs, None)
+                .unwrap_or_else(|e| panic!("{what}: run failed: {e}"));
+            let trace = tobs.trace();
+            let flows: serde_json::Value =
+                serde_json::from_str(&trace.to_chrome_json_with_flows(&platform)).unwrap();
+            let (ends, slices): (Vec<_>, Vec<_>) = flows
+                .as_array()
+                .unwrap()
+                .iter()
+                .partition(|e| matches!(e["ph"].as_str(), Some("s" | "f")));
+            for f in ends.iter().filter(|e| e["ph"].as_str() == Some("f")) {
+                arrows += 1;
+                assert!(
+                    slices.iter().any(|x| x["ph"].as_str() == Some("X")
+                        && x["pid"] == f["pid"]
+                        && x["tid"] == f["tid"]
+                        && x["ts"] == f["ts"]),
+                    "{what}: arrow {} lands on no rendered slice",
+                    f["name"].as_str().unwrap_or("?")
+                );
+            }
+            assert_eq!(
+                serde_json::to_string_pretty(&slices).unwrap(),
+                trace.to_chrome_json(&platform),
+                "{what}: the flows document minus its arrows must be the Chrome export"
+            );
+        }
+    }
+    assert!(arrows > 0, "the scenarios must exercise flow arrows");
 }
 
 /// Acceptance criterion (PR 9): folding the streamed `EpochSnapshot`
