@@ -675,6 +675,9 @@ struct Sim<'a> {
     platform: &'a Platform,
     scheduler: &'a mut dyn Scheduler,
     graph: TaskGraph,
+    /// The placements of the task being bound's predecessors, refilled
+    /// on every bind ([`BindCtx::pred_placements`]).
+    pred_placements: Vec<DeviceId>,
     tasks: Vec<&'a TaskDesc>,
     epochs: Vec<Vec<TaskId>>,
 
@@ -815,12 +818,10 @@ impl<'a> Sim<'a> {
         });
         let calibration = (adapt.is_some() || replan.is_some()).then(|| Calibration::new(ndev));
         Sim {
-            recs: graph
-                .preds
-                .iter()
-                .map(|p| TaskRec {
+            recs: (0..graph.len())
+                .map(|t| TaskRec {
                     life: Life::Waiting,
-                    preds_left: p.len(),
+                    preds_left: graph.preds(TaskId(t)).len(),
                     cost: TaskCost::default(),
                     repin: None,
                     failed_over: false,
@@ -832,6 +833,7 @@ impl<'a> Sim<'a> {
             gen: 0,
             dev_state: vec![DevState::Up; ndev],
             graph,
+            pred_placements: Vec::new(),
             tasks,
             epochs,
             program,
@@ -1147,15 +1149,14 @@ impl<'a> Sim<'a> {
 
     /// Bind a ready task to a device and enqueue it there.
     fn make_ready(&mut self, t: TaskId) {
-        let pred_placements: Vec<DeviceId> = self.graph.preds[t.0]
-            .iter()
-            .map(|p| {
+        self.pred_placements.clear();
+        self.pred_placements
+            .extend(self.graph.preds(t).iter().map(|p| {
                 self.recs[p.0]
                     .life
                     .placed()
                     .expect("predecessor completed, so it must have been placed")
-            })
-            .collect();
+            }));
         let task = self.tasks[t.0];
         let coherence = &self.coherence;
         let platform = self.platform;
@@ -1220,7 +1221,7 @@ impl<'a> Sim<'a> {
             platform: self.platform,
             task: bind_task,
             task_id: t,
-            pred_placements: &pred_placements,
+            pred_placements: &self.pred_placements,
             transfer_estimate: &transfer_estimate,
         };
         let rec = &mut self.recs[t.0];
@@ -1646,12 +1647,13 @@ impl<'a> Sim<'a> {
         // successor that is already placed (queued, in flight, or completed
         // — possible only when a dropout re-armed this dependence while the
         // consumer's standing result was left alone) must not be re-bound.
-        let succs = self.graph.succs[t.0].clone();
-        for s in succs {
+        // By index: `make_ready` borrows all of `self`.
+        for i in 0..self.graph.succs(t).len() {
+            let s = self.graph.succs(t)[i];
             let rec = &mut self.recs[s.0];
             rec.preds_left -= 1;
             if rec.preds_left == 0
-                && self.graph.epoch_of[s.0] == self.cur_epoch
+                && self.graph.epoch_of(s) == self.cur_epoch
                 && matches!(rec.life, Life::Waiting)
             {
                 self.make_ready(s);
@@ -1829,7 +1831,7 @@ impl<'a> Sim<'a> {
         // stands (the `Waiting` guard in `release_and_advance` keeps it
         // from being re-bound when the count returns to zero).
         for &t in &resets {
-            for s in self.graph.succs[t.0].clone() {
+            for &s in self.graph.succs(t) {
                 let rec = &mut self.recs[s.0];
                 rec.preds_left += 1;
                 if let Life::Queued(_) = rec.life {
@@ -2281,7 +2283,7 @@ impl<'a> Sim<'a> {
         // Re-arm every dependence the epoch's completions had satisfied;
         // re-completions will satisfy them again.
         for &t in &epoch_tasks {
-            for s in self.graph.succs[t.0].clone() {
+            for &s in self.graph.succs(t) {
                 self.recs[s.0].preds_left += 1;
             }
         }

@@ -9,156 +9,331 @@
 //! the full graph for dependency-chain affinity (DP-Dep assigns partitions
 //! of the same chain — e.g. the same grid rows across loop iterations — to
 //! the same device to minimise transfers).
+//!
+//! Each buffer's touched items are disjoint *cells* in one `BTreeMap` keyed
+//! by start. A cell holds its end, the task that last wrote it and the head
+//! of the list of its readers since that write. The lists are `(reader,
+//! next)` cons cells in one arena, so splitting a cell copies a head index
+//! and a write clears a cell by resetting its head. An access whose span is
+//! exactly one cell, or that overlaps no cell yet, costs one lookup; any
+//! other splits at the span's ends and walks the cells between. So an
+//! access costs O(log n + k), k the cells and readers it touches.
+//!
+//! The graph is stored flat: predecessors and successors are offset/target
+//! arrays, which the executor walks without allocating.
 
-use crate::interval::{Interval, IntervalMap};
+use crate::interval::Interval;
 use crate::program::{Op, Program, TaskId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The task dependency graph of a program.
 #[derive(Clone, Debug, Default)]
 pub struct TaskGraph {
-    /// Predecessors (must complete first), per task, deduplicated & sorted.
-    pub preds: Vec<Vec<TaskId>>,
-    /// Successors, per task, deduplicated & sorted.
-    pub succs: Vec<Vec<TaskId>>,
-    /// Epoch index (taskwait-delimited) of each task.
-    pub epoch_of: Vec<usize>,
+    /// `preds(t)` is `pred_targets[pred_off[t]..pred_off[t + 1]]`.
+    pred_off: Vec<usize>,
+    pred_targets: Vec<TaskId>,
+    /// `succs(t)` is `succ_targets[succ_off[t]..succ_off[t + 1]]`.
+    succ_off: Vec<usize>,
+    succ_targets: Vec<TaskId>,
+    epoch_of: Vec<usize>,
 }
 
 impl TaskGraph {
     /// Analyse a program. Each access costs O(log n) plus the number of
-    /// runs and reader pieces it overlaps.
+    /// cells and readers it touches.
     pub fn build(program: &Program) -> TaskGraph {
         let n = program.task_count();
-        let mut preds: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-
-        // Per-buffer: last writer per interval, and readers since that write.
-        #[derive(Default)]
-        struct BufState {
-            writers: IntervalMap<TaskId>,
-            readers: Readers,
-        }
-        let mut bufs: BTreeMap<usize, BufState> = BTreeMap::new();
-        let mut hits = Vec::new();
-
+        assert!(n < NONE as usize, "a task id must fit below NONE");
+        let mut analysis = Analysis {
+            cells: vec![BTreeMap::new(); program.buffers.len()],
+            readers: Vec::new(),
+            preds: Vec::new(),
+            scratch: Vec::new(),
+        };
+        let mut pred_off = Vec::with_capacity(n + 1);
+        pred_off.push(0);
+        let mut pred_targets = Vec::new();
         let mut epoch_of = Vec::with_capacity(n);
         let mut epoch = 0usize;
-        let mut tid = 0usize;
         for op in &program.ops {
             match op {
                 Op::Taskwait => epoch += 1,
                 Op::Submit(task) => {
-                    let id = TaskId(tid);
-                    let ps = &mut preds[tid];
+                    let id = epoch_of.len() as u32;
                     epoch_of.push(epoch);
                     for acc in &task.accesses {
-                        let state = bufs.entry(acc.region.buffer.0).or_default();
-                        let span = acc.region.span;
-                        // RAW (a read) and WAW (a write) alike: after every
-                        // overlapping last-writer.
-                        ps.extend(
-                            state
-                                .writers
-                                .overlapping(span)
-                                .map(|(_, &w)| w)
-                                .filter(|&w| w != id),
+                        analysis.access(
+                            id,
+                            acc.region.buffer.0,
+                            acc.region.span,
+                            acc.mode.writes(),
                         );
-                        if acc.mode.writes() {
-                            // WAR: after overlapping readers-since-write.
-                            state.readers.take_overlapping(span, &mut hits, |r| {
-                                if r != id {
-                                    ps.push(r);
-                                }
-                            });
-                            state.writers.insert(span, id);
-                        } else {
-                            state.readers.insert(span, id);
-                        }
                     }
+                    let ps = &mut analysis.preds;
                     ps.sort_unstable();
                     ps.dedup();
-                    tid += 1;
+                    pred_targets.extend(ps.drain(..).map(|p| TaskId(p as usize)));
+                    pred_off.push(pred_targets.len());
                 }
             }
         }
 
-        // Visiting tasks in order over deduplicated preds leaves every
-        // successor list sorted and duplicate-free.
-        let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for (t, ps) in preds.iter().enumerate() {
-            for p in ps {
-                succs[p.0].push(TaskId(t));
+        // Successors by a counting pass. Visiting tasks in order over
+        // deduplicated preds leaves every successor list sorted and
+        // duplicate-free.
+        let mut succ_off = vec![0; n + 1];
+        for p in &pred_targets {
+            succ_off[p.0 + 1] += 1;
+        }
+        for t in 0..n {
+            succ_off[t + 1] += succ_off[t];
+        }
+        let mut next = succ_off[..n].to_vec();
+        let mut succ_targets = vec![TaskId(0); pred_targets.len()];
+        for t in 0..n {
+            for p in &pred_targets[pred_off[t]..pred_off[t + 1]] {
+                succ_targets[next[p.0]] = TaskId(t);
+                next[p.0] += 1;
             }
         }
 
         TaskGraph {
-            preds,
-            succs,
+            pred_off,
+            pred_targets,
+            succ_off,
+            succ_targets,
             epoch_of,
         }
     }
 
+    /// The tasks `t` depends on (they must complete first), ascending.
+    pub fn preds(&self, t: TaskId) -> &[TaskId] {
+        &self.pred_targets[self.pred_off[t.0]..self.pred_off[t.0 + 1]]
+    }
+
+    /// The tasks that depend on `t`, ascending.
+    pub fn succs(&self, t: TaskId) -> &[TaskId] {
+        &self.succ_targets[self.succ_off[t.0]..self.succ_off[t.0 + 1]]
+    }
+
+    /// The epoch (taskwait-delimited) `t` belongs to.
+    pub fn epoch_of(&self, t: TaskId) -> usize {
+        self.epoch_of[t.0]
+    }
+
     /// Number of tasks.
     pub fn len(&self) -> usize {
-        self.preds.len()
+        self.epoch_of.len()
     }
 
     /// `true` when the program had no tasks.
     pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
+        self.epoch_of.is_empty()
     }
 
     /// Total number of edges (for tests/diagnostics).
     pub fn edge_count(&self) -> usize {
-        self.preds.iter().map(Vec::len).sum()
+        self.pred_targets.len()
     }
 }
 
-/// The readers of one buffer since its last overlapping write, as
-/// `(start, end, reader)` pieces ordered by start. A write of `span` takes
-/// every piece that [`Interval::overlaps`] it and puts back the parts outside
-/// `span`.
-#[derive(Default)]
-struct Readers {
-    pieces: BTreeSet<(u64, u64, TaskId)>,
-    /// No held piece is longer, so a piece overlapping `span` starts after
-    /// `span.start - longest`.
-    longest: u64,
+/// "No task" and "end of list" in a [`Cell`] and in the reader arena.
+const NONE: u32 = u32::MAX;
+
+/// A run of one buffer's items that share their last writer and their
+/// readers since that write.
+#[derive(Clone, Copy)]
+struct Cell {
+    end: u64,
+    /// The task that last wrote these items, or [`NONE`].
+    writer: u32,
+    /// Head of the readers-since-that-write list, or [`NONE`].
+    readers: u32,
 }
 
-impl Readers {
-    fn insert(&mut self, span: Interval, reader: TaskId) {
-        self.longest = self.longest.max(span.len());
-        self.pieces.insert((span.start, span.end, reader));
-    }
+/// The state of one [`TaskGraph::build`].
+struct Analysis {
+    /// Per buffer: its cells, keyed by start.
+    cells: Vec<BTreeMap<u64, Cell>>,
+    /// Reader lists as `(reader, next)` cons cells. Lists share tails, so
+    /// a node is never changed once pushed.
+    readers: Vec<(u32, u32)>,
+    /// The predecessors found so far for the task being analysed.
+    preds: Vec<u32>,
+    /// Cell starts to remove (a write) or holes to fill (a read).
+    scratch: Vec<(u64, u64)>,
+}
 
-    /// Remove the pieces overlapping `span`, calling `on_reader` for each,
-    /// and keep their parts outside `span`.
-    fn take_overlapping(
-        &mut self,
-        span: Interval,
-        hits: &mut Vec<(u64, u64, TaskId)>,
-        mut on_reader: impl FnMut(TaskId),
-    ) {
-        let from = (span.start.saturating_sub(self.longest), 0, TaskId(0));
-        hits.clear();
-        hits.extend(
-            self.pieces
-                .range(from..(span.end, 0, TaskId(0)))
-                .filter(|&&(s, e, _)| Interval::new(s, e).overlaps(&span)),
-        );
-        for &piece @ (s, e, r) in hits.iter() {
-            on_reader(r);
-            self.pieces.remove(&piece);
-            if s < span.start {
-                self.pieces.insert((s, span.start.min(e), r));
+impl Analysis {
+    /// Record access of `span` of buffer `buf` by task `id`, adding its
+    /// dependences to `preds`: after every last writer of an item it
+    /// touches, and, for a write, after every reader since then. An empty
+    /// span touches nothing.
+    fn access(&mut self, id: u32, buf: usize, span: Interval, writes: bool) {
+        if span.is_empty() {
+            return;
+        }
+        if buf >= self.cells.len() {
+            self.cells.resize_with(buf + 1, BTreeMap::new);
+        }
+        let cells = &mut self.cells[buf];
+        // The last cell starting before `span.end` is the span itself when
+        // the span is one cell, and ends by `span.start` when the span
+        // overlaps none.
+        match cells.range_mut(..span.end).next_back() {
+            Some((&start, cell)) if start == span.start && cell.end == span.end => {
+                if writes {
+                    note_all(&self.readers, cell, id, &mut self.preds);
+                    cell.writer = id;
+                    cell.readers = NONE;
+                } else {
+                    note_writer(cell, id, &mut self.preds);
+                    cell.readers = push(&mut self.readers, cell.readers, id);
+                }
             }
-            if e > span.end {
-                self.pieces.insert((span.end.max(s), e, r));
+            Some((_, cell)) if cell.end > span.start => {
+                if writes {
+                    self.write(id, buf, span);
+                } else {
+                    self.read(id, buf, span);
+                }
+            }
+            _ => {
+                let cell = if writes {
+                    Cell {
+                        end: span.end,
+                        writer: id,
+                        readers: NONE,
+                    }
+                } else {
+                    Cell {
+                        end: span.end,
+                        writer: NONE,
+                        readers: push(&mut self.readers, NONE, id),
+                    }
+                };
+                cells.insert(span.start, cell);
             }
         }
-        if self.pieces.is_empty() {
-            self.longest = 0;
+    }
+
+    /// A read of `span` that is not exactly one cell: split the cells at
+    /// its ends, join each cell in it and fill its holes with new cells.
+    fn read(&mut self, id: u32, buf: usize, span: Interval) {
+        let cells = &mut self.cells[buf];
+        split(cells, span.start);
+        split(cells, span.end);
+        let holes = &mut self.scratch;
+        holes.clear();
+        let mut cursor = span.start;
+        for (&start, cell) in cells.range_mut(span.start..span.end) {
+            if start > cursor {
+                holes.push((cursor, start));
+            }
+            cursor = cell.end;
+            note_writer(cell, id, &mut self.preds);
+            cell.readers = push(&mut self.readers, cell.readers, id);
+        }
+        if cursor < span.end {
+            holes.push((cursor, span.end));
+        }
+        if !holes.is_empty() {
+            let readers = push(&mut self.readers, NONE, id);
+            for &(start, end) in holes.iter() {
+                let cell = Cell {
+                    end,
+                    writer: NONE,
+                    readers,
+                };
+                cells.insert(start, cell);
+            }
+        }
+    }
+
+    /// A write of `span` that is not exactly one cell: order after every
+    /// cell it overlaps, then make it one cell written by `id`.
+    fn write(&mut self, id: u32, buf: usize, span: Interval) {
+        let cells = &mut self.cells[buf];
+        let mut tail = None;
+        // A cell straddling `span.start` keeps its head, and its tail when
+        // it also straddles `span.end`.
+        if let Some((_, cell)) = cells.range_mut(..span.start).next_back() {
+            if cell.end > span.start {
+                note_all(&self.readers, cell, id, &mut self.preds);
+                if cell.end > span.end {
+                    tail = Some(*cell);
+                }
+                cell.end = span.start;
+            }
+        }
+        let gone = &mut self.scratch;
+        gone.clear();
+        for (&start, cell) in cells.range(span.start..span.end) {
+            note_all(&self.readers, cell, id, &mut self.preds);
+            if cell.end > span.end {
+                tail = Some(*cell);
+            }
+            if start > span.start {
+                gone.push((start, cell.end));
+            }
+        }
+        for &(start, _) in gone.iter() {
+            cells.remove(&start);
+        }
+        if let Some(cell) = tail {
+            cells.insert(span.end, cell);
+        }
+        let cell = Cell {
+            end: span.end,
+            writer: id,
+            readers: NONE,
+        };
+        cells.insert(span.start, cell);
+    }
+}
+
+/// Order `id` after the cell's last writer (RAW, or WAW for a write).
+fn note_writer(cell: &Cell, id: u32, preds: &mut Vec<u32>) {
+    if cell.writer != NONE && cell.writer != id {
+        preds.push(cell.writer);
+    }
+}
+
+/// Order the write by `id` after the cell's last writer and its readers
+/// since (WAR).
+fn note_all(readers: &[(u32, u32)], cell: &Cell, id: u32, preds: &mut Vec<u32>) {
+    note_writer(cell, id, preds);
+    let mut node = cell.readers;
+    while node != NONE {
+        let (reader, next) = readers[node as usize];
+        if reader != id {
+            preds.push(reader);
+        }
+        node = next;
+    }
+}
+
+/// The list `head` with `id` in front (itself if `id` is already there).
+fn push(readers: &mut Vec<(u32, u32)>, head: u32, id: u32) -> u32 {
+    if head != NONE && readers[head as usize].0 == id {
+        return head;
+    }
+    assert!(
+        readers.len() < NONE as usize,
+        "a node index must fit below NONE"
+    );
+    readers.push((id, head));
+    (readers.len() - 1) as u32
+}
+
+/// Make `at` a cell boundary: a cell straddling it becomes two with the
+/// same writer and readers.
+fn split(cells: &mut BTreeMap<u64, Cell>, at: u64) {
+    if let Some((_, cell)) = cells.range_mut(..at).next_back() {
+        if cell.end > at {
+            let tail = *cell;
+            cell.end = at;
+            cells.insert(at, tail);
         }
     }
 }
@@ -184,8 +359,8 @@ mod tests {
             b.submit_dynamic(k, 100, vec![Access::write(Region::new(x, 0, 100))]);
             b.submit_dynamic(k, 50, vec![Access::read(Region::new(x, 25, 75))]);
         });
-        assert_eq!(g.preds[1], vec![TaskId(0)]);
-        assert_eq!(g.succs[0], vec![TaskId(1)]);
+        assert_eq!(g.preds(TaskId(1)), [TaskId(0)]);
+        assert_eq!(g.succs(TaskId(0)), [TaskId(1)]);
     }
 
     #[test]
@@ -196,8 +371,8 @@ mod tests {
             b.submit_dynamic(k, 50, vec![Access::write(Region::new(x, 0, 50))]);
             b.submit_dynamic(k, 50, vec![Access::write(Region::new(x, 50, 100))]);
         });
-        assert!(g.preds[0].is_empty());
-        assert!(g.preds[1].is_empty());
+        assert!(g.preds(TaskId(0)).is_empty());
+        assert!(g.preds(TaskId(1)).is_empty());
         assert_eq!(g.edge_count(), 0);
     }
 
@@ -209,7 +384,7 @@ mod tests {
             b.submit_dynamic(k, 100, vec![Access::read(Region::new(x, 0, 100))]);
             b.submit_dynamic(k, 100, vec![Access::write(Region::new(x, 0, 100))]);
         });
-        assert_eq!(g.preds[1], vec![TaskId(0)]);
+        assert_eq!(g.preds(TaskId(1)), [TaskId(0)]);
     }
 
     #[test]
@@ -220,7 +395,7 @@ mod tests {
             b.submit_dynamic(k, 100, vec![Access::write(Region::new(x, 0, 100))]);
             b.submit_dynamic(k, 100, vec![Access::write(Region::new(x, 0, 100))]);
         });
-        assert_eq!(g.preds[1], vec![TaskId(0)]);
+        assert_eq!(g.preds(TaskId(1)), [TaskId(0)]);
     }
 
     #[test]
@@ -233,7 +408,7 @@ mod tests {
             b.submit_dynamic(k, 100, vec![Access::read(Region::new(x, 0, 100))]);
             // t2
         });
-        assert_eq!(g.preds[2], vec![TaskId(0), TaskId(1)]);
+        assert_eq!(g.preds(TaskId(2)), [TaskId(0), TaskId(1)]);
     }
 
     #[test]
@@ -248,7 +423,28 @@ mod tests {
             // t3
         });
         // t3 overwrites t1's read range and t0's write, but not t2's range.
-        assert_eq!(g.preds[3], vec![TaskId(0), TaskId(1)]);
+        assert_eq!(g.preds(TaskId(3)), [TaskId(0), TaskId(1)]);
+    }
+
+    #[test]
+    fn empty_accesses_add_no_edges() {
+        let g = build(|b| {
+            let x = b.buffer("x", 20, 4);
+            let k = b.kernel("k", KernelProfile::compute_only(1.0));
+            b.submit_dynamic(k, 20, vec![Access::write(Region::new(x, 0, 20))]); // t0
+            b.submit_dynamic(k, 0, vec![Access::read(Region::new(x, 3, 3))]); // t1
+            b.submit_dynamic(k, 20, vec![Access::read(Region::new(x, 0, 20))]); // t2
+            b.submit_dynamic(k, 0, vec![Access::write(Region::new(x, 5, 5))]); // t3
+            b.submit_dynamic(k, 20, vec![Access::write(Region::new(x, 0, 20))]);
+            // t4
+        });
+        // Neither empty access touches an item: t1 and t3 have no edge,
+        // and t4 orders after t0's write and t2's read only.
+        assert_eq!(g.preds(TaskId(2)), [TaskId(0)]);
+        assert_eq!(g.preds(TaskId(4)), [TaskId(0), TaskId(2)]);
+        for t in [TaskId(1), TaskId(3)] {
+            assert!(g.preds(t).is_empty() && g.succs(t).is_empty());
+        }
     }
 
     #[test]
@@ -263,11 +459,12 @@ mod tests {
                 b.taskwait();
             }
         });
-        assert_eq!(g.preds[0], vec![]);
+        assert_eq!(g.preds(TaskId(0)), []);
         for t in 1..4 {
-            assert_eq!(g.preds[t], vec![TaskId(t - 1)]);
+            assert_eq!(g.preds(TaskId(t)), [TaskId(t - 1)]);
         }
-        assert_eq!(g.epoch_of, vec![0, 1, 2, 3]);
+        let epochs: Vec<usize> = (0..g.len()).map(|t| g.epoch_of(TaskId(t))).collect();
+        assert_eq!(epochs, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -302,7 +499,7 @@ mod tests {
             }
         });
         // scale partition i depends exactly on copy partition i.
-        assert_eq!(g.preds[2], vec![TaskId(0)]);
-        assert_eq!(g.preds[3], vec![TaskId(1)]);
+        assert_eq!(g.preds(TaskId(2)), [TaskId(0)]);
+        assert_eq!(g.preds(TaskId(3)), [TaskId(1)]);
     }
 }

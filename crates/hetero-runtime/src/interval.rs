@@ -1,4 +1,4 @@
-//! Half-open integer intervals and interval containers.
+//! Half-open integer intervals and interval sets.
 //!
 //! Data-parallel partitions are contiguous index ranges of a buffer, so both
 //! the dependence analysis (who last wrote these items?) and the coherence
@@ -41,9 +41,10 @@ impl Interval {
         self.start == self.end
     }
 
-    /// `true` when the two intervals share at least one index.
+    /// `true` when the two intervals share at least one index (so never
+    /// when either is empty).
     pub fn overlaps(&self, other: &Interval) -> bool {
-        self.start < other.end && other.start < self.end
+        self.intersect(other).is_some()
     }
 
     /// The shared part of two intervals, if non-empty.
@@ -171,7 +172,13 @@ impl IntervalSet {
     /// The covered parts of `iv`, ascending: only the run covering
     /// `iv.start` and the runs starting inside `iv` are visited.
     fn clipped(&self, iv: Interval) -> impl Iterator<Item = Interval> + '_ {
-        let from = first_key(&self.runs, iv.start);
+        // The last run starting at or before `iv.start` is the only earlier
+        // run that can reach into `iv`, since runs are disjoint.
+        let from = self
+            .runs
+            .range(..=iv.start)
+            .next_back()
+            .map_or(iv.start, |(&s, _)| s);
         self.runs
             .range(from..iv.end)
             .filter_map(move |(&start, &end)| Interval { start, end }.intersect(&iv))
@@ -204,106 +211,6 @@ impl IntervalSet {
     }
 }
 
-/// The key to start a scan for runs overlapping an interval starting at
-/// `start`: the last run starting at or before `start` (the only earlier run
-/// that can reach it, since runs are disjoint), else `start` itself.
-fn first_key<V>(runs: &BTreeMap<u64, V>, start: u64) -> u64 {
-    runs.range(..=start).next_back().map_or(start, |(&s, _)| s)
-}
-
-/// Disjoint intervals each tagged with a value; inserting overwrites any
-/// overlapped portion (splitting partially-overlapped runs).
-///
-/// Used for "last writer of these items" maps in the dependence analysis.
-#[derive(Clone, Debug)]
-pub struct IntervalMap<T: Clone> {
-    // start -> (end, tag), disjoint.
-    runs: BTreeMap<u64, (u64, T)>,
-}
-
-impl<T: Clone> Default for IntervalMap<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Clone> IntervalMap<T> {
-    /// The empty map.
-    pub fn new() -> Self {
-        IntervalMap {
-            runs: BTreeMap::new(),
-        }
-    }
-
-    /// Iterate `(interval, tag)` pairs ascending.
-    pub fn iter(&self) -> impl Iterator<Item = (Interval, &T)> + '_ {
-        self.runs
-            .iter()
-            .map(|(&s, (e, t))| (Interval { start: s, end: *e }, t))
-    }
-
-    /// All `(interval, tag)` entries overlapping `iv`, clipped to `iv`,
-    /// ascending. Visits only the run covering `iv.start` and the runs
-    /// starting inside `iv`.
-    pub fn overlapping(&self, iv: Interval) -> impl Iterator<Item = (Interval, &T)> + '_ {
-        let from = first_key(&self.runs, iv.start);
-        self.runs
-            .range(from..iv.end)
-            .filter_map(move |(&start, (end, t))| {
-                Interval { start, end: *end }
-                    .intersect(&iv)
-                    .map(|part| (part, t))
-            })
-    }
-
-    /// Overwrite `iv` with `tag`, splitting partially-overlapped runs.
-    pub fn insert(&mut self, iv: Interval, tag: T) {
-        if iv.is_empty() {
-            return;
-        }
-        // A run with exactly this span just changes its tag.
-        if let Some((end, t)) = self.runs.get_mut(&iv.start) {
-            if *end == iv.end {
-                *t = tag;
-                return;
-            }
-        }
-        self.remove(iv);
-        self.runs.insert(iv.start, (iv.end, tag));
-    }
-
-    /// Clear `iv`, splitting partially-overlapped runs.
-    pub fn remove(&mut self, iv: Interval) {
-        if iv.is_empty() {
-            return;
-        }
-        // A run straddling `iv.start` keeps its head (and, if it also
-        // straddles `iv.end`, its tail).
-        if let Some((_, (end, t))) = self.runs.range_mut(..iv.start).next_back() {
-            if *end > iv.start {
-                let e = std::mem::replace(end, iv.start);
-                if e > iv.end {
-                    let tail = (e, t.clone());
-                    self.runs.insert(iv.end, tail);
-                    return;
-                }
-            }
-        }
-        // Runs starting inside `iv` go; the last may keep a tail.
-        while let Some((&s, _)) = self.runs.range(iv.start..iv.end).next() {
-            let (e, t) = self.runs.remove(&s).expect("key was just found");
-            if e > iv.end {
-                self.runs.insert(iv.end, (e, t));
-            }
-        }
-    }
-
-    /// Number of disjoint runs (for tests).
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,6 +225,10 @@ mod tests {
         assert!(iv(2, 2).is_empty());
         assert!(iv(0, 5).overlaps(&iv(4, 9)));
         assert!(!iv(0, 5).overlaps(&iv(5, 9)));
+        // An empty interval shares no index, even strictly inside another.
+        assert!(!iv(3, 3).overlaps(&iv(0, 20)));
+        assert!(!iv(0, 20).overlaps(&iv(3, 3)));
+        assert!(!iv(3, 3).overlaps(&iv(3, 3)));
         assert_eq!(iv(0, 5).intersect(&iv(3, 9)), Some(iv(3, 5)));
         assert_eq!(iv(0, 3).intersect(&iv(3, 9)), None);
         assert!(iv(0, 10).contains(&iv(3, 7)));
@@ -386,37 +297,5 @@ mod tests {
             vec![iv(15, 20), iv(30, 35)]
         );
         assert_eq!(s.intersection_with(iv(0, 5)), vec![]);
-    }
-
-    #[test]
-    fn map_insert_overwrites_and_splits() {
-        let mut m = IntervalMap::new();
-        m.insert(iv(0, 100), "a");
-        m.insert(iv(40, 60), "b");
-        let got: Vec<_> = m.iter().map(|(i, t)| (i, *t)).collect();
-        assert_eq!(
-            got,
-            vec![(iv(0, 40), "a"), (iv(40, 60), "b"), (iv(60, 100), "a")]
-        );
-        assert_eq!(m.run_count(), 3);
-    }
-
-    #[test]
-    fn map_overlapping_clips() {
-        let mut m = IntervalMap::new();
-        m.insert(iv(0, 10), 1);
-        m.insert(iv(20, 30), 2);
-        let clipped = |q| m.overlapping(q).map(|(i, t)| (i, *t)).collect::<Vec<_>>();
-        assert_eq!(clipped(iv(5, 25)), vec![(iv(5, 10), 1), (iv(20, 25), 2)]);
-        assert_eq!(clipped(iv(10, 20)), vec![]);
-    }
-
-    #[test]
-    fn map_remove() {
-        let mut m = IntervalMap::new();
-        m.insert(iv(0, 30), 'x');
-        m.remove(iv(10, 20));
-        let got: Vec<_> = m.iter().map(|(i, t)| (i, *t)).collect();
-        assert_eq!(got, vec![(iv(0, 10), 'x'), (iv(20, 30), 'x')]);
     }
 }

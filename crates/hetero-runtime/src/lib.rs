@@ -75,7 +75,7 @@ pub use graph::TaskGraph;
 pub use health::{
     BreakerConfig, HealthConfig, HealthReport, QuarantineSpan, VerificationPolicy, WatchdogConfig,
 };
-pub use interval::{Interval, IntervalMap, IntervalSet};
+pub use interval::{Interval, IntervalSet};
 pub use journal::{
     EpochRecord, JournalError, JournalHeader, JournalSink, RngCursors, RunJournal, SalvageReport,
     StreamConstants, JOURNAL_VERSION,

@@ -126,7 +126,9 @@ pub fn run_native(
         }
         ExecOrder::ReadyLifo => {
             let graph = TaskGraph::build(program);
-            let mut remaining: Vec<usize> = graph.preds.iter().map(Vec::len).collect();
+            let mut remaining: Vec<usize> = (0..graph.len())
+                .map(|t| graph.preds(TaskId(t)).len())
+                .collect();
             for epoch in program.epochs() {
                 let mut stack: Vec<TaskId> = epoch
                     .iter()
@@ -137,9 +139,9 @@ pub fn run_native(
                 while let Some(t) = stack.pop() {
                     run_one(t);
                     done_in_epoch += 1;
-                    for &s in &graph.succs[t.0] {
+                    for &s in graph.succs(t) {
                         remaining[s.0] -= 1;
-                        if remaining[s.0] == 0 && graph.epoch_of[s.0] == graph.epoch_of[t.0] {
+                        if remaining[s.0] == 0 && graph.epoch_of(s) == graph.epoch_of(t) {
                             stack.push(s);
                         }
                     }
@@ -195,7 +197,7 @@ pub fn run_native_parallel(
         let mut max_in_epoch = base;
         for &t in e {
             let mut l = base;
-            for p in &graph.preds[t.0] {
+            for p in graph.preds(t) {
                 l = l.max(level[p.0] + 1);
             }
             level[t.0] = l;

@@ -309,54 +309,60 @@ impl Scheduler for PerfScheduler {
             }
         }
         // Earliest-estimated-finisher across all devices with a known rate,
-        // folding in the data-movement cost of a non-local placement.
-        let mut best: Option<(SimTime, DeviceId)> = None;
-        let mut chain_finish: Option<(SimTime, DeviceId)> = None;
+        // folding in the data-movement cost of a non-local placement. Each
+        // candidate is `(finish, device, transfer + exec)`, so the chosen
+        // one is charged without walking the coherence state again.
+        let mut best: Option<(SimTime, DeviceId, SimTime)> = None;
+        let mut chain: Option<(SimTime, DeviceId, SimTime)> = None;
         let chain_dev = ctx.pred_placements.first().copied();
         for d in &ctx.platform.devices {
             let Some(exec) = self.estimate_exec(kernel, d.id, ctx.task.items) else {
                 continue;
             };
-            let finish = ctx.now + self.backlog(d.id) + (ctx.transfer_estimate)(d.id) + exec;
-            if best.is_none_or(|(bf, bd)| finish < bf || (finish == bf && d.id < bd)) {
-                best = Some((finish, d.id));
+            let transfer = (ctx.transfer_estimate)(d.id);
+            let finish = ctx.now + self.backlog(d.id) + transfer + exec;
+            let candidate = (finish, d.id, transfer + exec);
+            if best.is_none_or(|(bf, bd, ..)| finish < bf || (finish == bf && d.id < bd)) {
+                best = Some(candidate);
             }
             if chain_dev == Some(d.id) {
-                chain_finish = Some((finish, d.id));
+                chain = Some(candidate);
             }
         }
         // Dependency-chain affinity (the paper: DP-Perf "also tracks data
         // dependency as DP-Dep"): stay on the predecessor's device unless
         // another device is estimated substantially (>25%) faster — this
         // keeps chains resident instead of ping-ponging partitions.
-        if let (Some((bf, _)), Some((cf, cd))) = (best, chain_finish) {
+        if let (Some((bf, ..)), Some(c)) = (best, chain) {
             let margin = bf + bf.saturating_sub(ctx.now) / 4;
-            if cf <= margin {
-                best = Some((cf, cd));
+            if c.0 <= margin {
+                best = Some(c);
             }
         }
         // If no device has a rate yet (e.g. completions still in flight
         // after the warm-up assignments), spread load by per-slot assigned
         // count — the least informed but least harmful choice.
-        let dev = best.map(|(_, d)| d).unwrap_or_else(|| {
-            ctx.platform
-                .devices
-                .iter()
-                .map(|d| d.id)
-                .min_by(|&a, &b| {
-                    let la = self.assigned(kernel, a) as f64
-                        / ctx.platform.device(a).spec.kind.slots() as f64;
-                    let lb = self.assigned(kernel, b) as f64
-                        / ctx.platform.device(b).spec.kind.slots() as f64;
-                    la.partial_cmp(&lb).unwrap().then(a.cmp(&b))
-                })
-                .expect("platform has devices")
-        });
+        let (dev, charge) = match best {
+            Some((_, dev, charge)) => (dev, charge),
+            None => {
+                let dev = ctx
+                    .platform
+                    .devices
+                    .iter()
+                    .map(|d| d.id)
+                    .min_by(|&a, &b| {
+                        let la = self.assigned(kernel, a) as f64
+                            / ctx.platform.device(a).spec.kind.slots() as f64;
+                        let lb = self.assigned(kernel, b) as f64
+                            / ctx.platform.device(b).spec.kind.slots() as f64;
+                        la.partial_cmp(&lb).unwrap().then(a.cmp(&b))
+                    })
+                    .expect("platform has devices");
+                (dev, (ctx.transfer_estimate)(dev))
+            }
+        };
         *self.assigned.entry((kernel, dev)).or_insert(0) += 1;
-        let exec = self
-            .estimate_exec(kernel, dev, ctx.task.items)
-            .unwrap_or(SimTime::ZERO);
-        self.charge(ctx.task_id, dev, (ctx.transfer_estimate)(dev) + exec);
+        self.charge(ctx.task_id, dev, charge);
         dev
     }
 

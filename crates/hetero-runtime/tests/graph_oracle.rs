@@ -5,7 +5,8 @@
 //! indexed [`TaskGraph::build`] must produce exactly the same predecessors,
 //! successors and epochs on any program, including the corner cases the
 //! planner never emits: empty spans, halos on writes, whole-buffer accesses
-//! and tasks touching one buffer several times.
+//! and tasks touching one buffer several times. It is also checked once at
+//! the size the paper matrix runs.
 
 use hetero_platform::KernelProfile;
 use hetero_runtime::{
@@ -191,9 +192,21 @@ fn build_program(sizes: &[u64], ops: &[Option<Vec<RawAccess>>]) -> (Program, Vec
 fn assert_matches_reference(program: &Program) -> Result<(), TestCaseError> {
     let g = TaskGraph::build(program);
     let (preds, succs, epoch_of) = reference_build(program);
-    prop_assert_eq!(&g.preds, &preds);
-    prop_assert_eq!(&g.succs, &succs);
-    prop_assert_eq!(&g.epoch_of, &epoch_of);
+    let ids = || (0..g.len()).map(TaskId);
+    prop_assert_eq!(g.len(), program.task_count());
+    prop_assert_eq!(
+        ids().map(|t| g.preds(t).to_vec()).collect::<Vec<_>>(),
+        preds
+    );
+    prop_assert_eq!(
+        ids().map(|t| g.succs(t).to_vec()).collect::<Vec<_>>(),
+        succs
+    );
+    prop_assert_eq!(ids().map(|t| g.epoch_of(t)).collect::<Vec<_>>(), epoch_of);
+    prop_assert_eq!(
+        g.edge_count(),
+        ids().map(|t| g.preds(t).len()).sum::<usize>()
+    );
     Ok(())
 }
 
@@ -240,8 +253,8 @@ fn repeated_reads_by_one_task_keep_every_piece() {
         let p = program(spans, write);
         let g = TaskGraph::build(&p);
         assert_eq!(
-            g.preds[1],
-            vec![TaskId(0)],
+            g.preds(TaskId(1)),
+            [TaskId(0)],
             "reads {spans:?}, write {write:?}"
         );
         assert_matches_reference(&p).unwrap();
@@ -267,5 +280,62 @@ fn builder_ids_follow_submission_order_across_taskwaits() {
     assert_eq!(ids, (0..5).map(TaskId).collect::<Vec<_>>());
     let listed: Vec<TaskId> = p.tasks().iter().map(|(id, _)| *id).collect();
     assert_eq!(ids, listed);
-    assert_eq!(TaskGraph::build(&p).epoch_of, vec![1, 1, 2, 4, 4]);
+    let g = TaskGraph::build(&p);
+    let epochs: Vec<usize> = ids.iter().map(|&t| g.epoch_of(t)).collect();
+    assert_eq!(epochs, [1, 1, 2, 4, 4]);
+}
+
+/// A program the size of the paper matrix's heaviest cells (STREAM-Loop
+/// under DP-*, 3,840 tasks): the four STREAM kernels over 10 iterations of
+/// 96 aligned chunks, with whole-buffer reads mixed in, then a pass of
+/// misaligned chunks submitted in reverse order.
+#[test]
+fn stream_loop_sized_program_matches_reference() {
+    const CHUNKS: u64 = 96;
+    const CHUNK: u64 = 64;
+    const N: u64 = CHUNKS * CHUNK;
+    let mut b = Program::builder();
+    let [a, bb, c] = ["a", "b", "c"].map(|name| b.buffer(name, N, 4));
+    let k = b.kernel("k", KernelProfile::compute_only(1.0));
+    // (inputs, output) of copy, scale, add and triad.
+    let kernels = [
+        (vec![a], c),
+        (vec![c], bb),
+        (vec![a, bb], c),
+        (vec![bb, c], a),
+    ];
+    for iter in 0..10 {
+        for (inputs, output) in &kernels {
+            for i in 0..CHUNKS {
+                let (s, e) = (i * CHUNK, (i + 1) * CHUNK);
+                let mut accesses: Vec<Access> = inputs
+                    .iter()
+                    .map(|&x| Access::read(Region::new(x, s, e)))
+                    .collect();
+                // Now and then a chunk also reads a whole input buffer.
+                if (i + iter) % 29 == 0 {
+                    accesses.push(Access::read(Region::new(inputs[0], 0, N)));
+                }
+                accesses.push(Access::write(Region::new(*output, s, e)));
+                b.submit_dynamic(k, CHUNK, accesses);
+            }
+        }
+        b.taskwait();
+    }
+    // Chunks of 50 items from offset 7: every aligned boundary falls
+    // strictly inside one of them.
+    for i in (0..(N - 7).div_ceil(50)).rev() {
+        let (s, e) = (7 + i * 50, (7 + (i + 1) * 50).min(N));
+        let mut accesses = vec![
+            Access::read(Region::new(c, s, e)),
+            Access::read_write(Region::new(a, s, e)),
+        ];
+        if i % 16 == 0 {
+            accesses.push(Access::read(Region::new(bb, 0, N)));
+        }
+        b.submit_dynamic(k, e - s, accesses);
+    }
+    let p = b.build();
+    assert_eq!(p.task_count(), 3840 + 123);
+    assert_matches_reference(&p).unwrap();
 }

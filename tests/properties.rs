@@ -8,7 +8,7 @@ use hetero_match::matchmaker::{
 use hetero_match::platform::{DeviceId, KernelProfile, Platform, SimTime};
 use hetero_match::runtime::{
     simulate, split_even, Access, DepScheduler, PerfScheduler, PinnedScheduler, Program, Region,
-    TaskGraph,
+    TaskGraph, TaskId,
 };
 use proptest::prelude::*;
 
@@ -164,15 +164,15 @@ proptest! {
     #[test]
     fn dependence_edges_point_backwards_and_are_acyclic(p in arb_program()) {
         let g = TaskGraph::build(&p);
-        for (t, preds) in g.preds.iter().enumerate() {
-            for pr in preds {
-                prop_assert!(pr.0 < t, "edge {} -> {} points forward", pr.0, t);
+        for t in (0..g.len()).map(TaskId) {
+            for pr in g.preds(t) {
+                prop_assert!(pr.0 < t.0, "edge {} -> {} points forward", pr.0, t.0);
             }
         }
         // Symmetric succ/pred consistency.
-        for (t, succs) in g.succs.iter().enumerate() {
-            for s in succs {
-                prop_assert!(g.preds[s.0].iter().any(|x| x.0 == t));
+        for t in (0..g.len()).map(TaskId) {
+            for s in g.succs(t) {
+                prop_assert!(g.preds(*s).contains(&t));
             }
         }
     }
