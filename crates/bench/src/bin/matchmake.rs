@@ -73,7 +73,8 @@
 //!                                       # cut line and reason on stderr
 //!
 //! load options:
-//!   --requests <n>                      # requests to generate (default 1000)
+//!   --requests <n>                      # requests to generate, at least 1
+//!                                       # (default 1000)
 //!   --seed <s>                          # load/chaos seed, decimal or 0x-hex
 //!   --chaos                             # run under the canonical 10x burst chaos
 //!                                       # schedule (slow-loris, malformed JSON,
@@ -94,7 +95,8 @@
 //!   --report-only                       # print the verdict table but always exit 0
 //!
 //! fuzz options:
-//!   --iters <n>                         # scenarios to fuzz (default 100)
+//!   --iters <n>                         # scenarios to fuzz, at least 1
+//!                                       # (default 100)
 //!   --seed <s>                          # campaign base seed, decimal or 0x-hex
 //!                                       # (default 0)
 //!   --shrink                            # minimize each failure to a small reproducer
@@ -323,6 +325,7 @@ fn main() {
                 iters = it
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage());
             }
             "--seed" => {
@@ -397,6 +400,7 @@ fn main() {
                 requests = it
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage());
             }
             "--chaos" => chaos = true,

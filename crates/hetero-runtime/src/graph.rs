@@ -10,21 +10,24 @@
 //! of the same chain — e.g. the same grid rows across loop iterations — to
 //! the same device to minimise transfers).
 //!
-//! Each buffer's touched items are disjoint *cells* in one `BTreeMap` keyed
-//! by start. A cell holds its end, the task that last wrote it and the head
+//! Each buffer's touched items are disjoint *cells* in one `Vec` sorted by
+//! start. A cell holds its span, the task that last wrote it and the head
 //! of the list of its readers since that write. The lists are `(reader,
 //! next)` cons cells in one arena, so splitting a cell copies a head index
-//! and a write clears a cell by resetting its head. An access whose span is
-//! exactly one cell, or that overlaps no cell yet, costs one lookup; any
-//! other splits at the span's ends and walks the cells between. So an
-//! access costs O(log n + k), k the cells and readers it touches.
+//! and a write clears a cell by resetting its head. One binary search finds
+//! the last cell starting before an access's end: an access whose span is
+//! exactly that cell updates it in place, and one that overlaps no cell yet
+//! inserts one. Any other access searches again for the first cell it
+//! overlaps and rewrites the cells between into one spliced-in run. So an
+//! access costs O(log n + k), k the cells and readers it touches, plus the
+//! move of the cells after them; a buffer holds at most a few hundred cells
+//! in the paper's programs.
 //!
 //! The graph is stored flat: predecessors and successors are offset/target
 //! arrays, which the executor walks without allocating.
 
 use crate::interval::Interval;
 use crate::program::{Op, Program, TaskId};
-use std::collections::BTreeMap;
 
 /// The task dependency graph of a program.
 #[derive(Clone, Debug, Default)]
@@ -45,7 +48,7 @@ impl TaskGraph {
         let n = program.task_count();
         assert!(n < NONE as usize, "a task id must fit below NONE");
         let mut analysis = Analysis {
-            cells: vec![BTreeMap::new(); program.buffers.len()],
+            cells: vec![Vec::new(); program.buffers.len()],
             readers: Vec::new(),
             preds: Vec::new(),
             scratch: Vec::new(),
@@ -144,6 +147,7 @@ const NONE: u32 = u32::MAX;
 /// readers since that write.
 #[derive(Clone, Copy)]
 struct Cell {
+    start: u64,
     end: u64,
     /// The task that last wrote these items, or [`NONE`].
     writer: u32,
@@ -153,15 +157,15 @@ struct Cell {
 
 /// The state of one [`TaskGraph::build`].
 struct Analysis {
-    /// Per buffer: its cells, keyed by start.
-    cells: Vec<BTreeMap<u64, Cell>>,
+    /// Per buffer: its cells, ascending and disjoint.
+    cells: Vec<Vec<Cell>>,
     /// Reader lists as `(reader, next)` cons cells. Lists share tails, so
     /// a node is never changed once pushed.
     readers: Vec<(u32, u32)>,
     /// The predecessors found so far for the task being analysed.
     preds: Vec<u32>,
-    /// Cell starts to remove (a write) or holes to fill (a read).
-    scratch: Vec<(u64, u64)>,
+    /// The cells that replace the overlapped ones in [`Analysis::rewrite`].
+    scratch: Vec<Cell>,
 }
 
 impl Analysis {
@@ -174,14 +178,15 @@ impl Analysis {
             return;
         }
         if buf >= self.cells.len() {
-            self.cells.resize_with(buf + 1, BTreeMap::new);
+            self.cells.resize_with(buf + 1, Vec::new);
         }
         let cells = &mut self.cells[buf];
         // The last cell starting before `span.end` is the span itself when
         // the span is one cell, and ends by `span.start` when the span
         // overlaps none.
-        match cells.range_mut(..span.end).next_back() {
-            Some((&start, cell)) if start == span.start && cell.end == span.end => {
+        let hi = cells.partition_point(|c| c.start < span.end);
+        match hi.checked_sub(1).map(|last| &mut cells[last]) {
+            Some(cell) if cell.start == span.start && cell.end == span.end => {
                 if writes {
                     note_all(&self.readers, cell, id, &mut self.preds);
                     cell.writer = id;
@@ -191,104 +196,88 @@ impl Analysis {
                     cell.readers = push(&mut self.readers, cell.readers, id);
                 }
             }
-            Some((_, cell)) if cell.end > span.start => {
-                if writes {
-                    self.write(id, buf, span);
-                } else {
-                    self.read(id, buf, span);
-                }
-            }
+            Some(cell) if cell.end > span.start => self.rewrite(id, buf, span, writes, hi),
             _ => {
-                let cell = if writes {
-                    Cell {
-                        end: span.end,
-                        writer: id,
-                        readers: NONE,
-                    }
+                let (writer, readers) = if writes {
+                    (id, NONE)
                 } else {
-                    Cell {
-                        end: span.end,
-                        writer: NONE,
-                        readers: push(&mut self.readers, NONE, id),
-                    }
+                    (NONE, push(&mut self.readers, NONE, id))
                 };
-                cells.insert(span.start, cell);
-            }
-        }
-    }
-
-    /// A read of `span` that is not exactly one cell: split the cells at
-    /// its ends, join each cell in it and fill its holes with new cells.
-    fn read(&mut self, id: u32, buf: usize, span: Interval) {
-        let cells = &mut self.cells[buf];
-        split(cells, span.start);
-        split(cells, span.end);
-        let holes = &mut self.scratch;
-        holes.clear();
-        let mut cursor = span.start;
-        for (&start, cell) in cells.range_mut(span.start..span.end) {
-            if start > cursor {
-                holes.push((cursor, start));
-            }
-            cursor = cell.end;
-            note_writer(cell, id, &mut self.preds);
-            cell.readers = push(&mut self.readers, cell.readers, id);
-        }
-        if cursor < span.end {
-            holes.push((cursor, span.end));
-        }
-        if !holes.is_empty() {
-            let readers = push(&mut self.readers, NONE, id);
-            for &(start, end) in holes.iter() {
                 let cell = Cell {
-                    end,
-                    writer: NONE,
+                    start: span.start,
+                    end: span.end,
+                    writer,
                     readers,
                 };
-                cells.insert(start, cell);
+                cells.insert(hi, cell);
             }
         }
     }
 
-    /// A write of `span` that is not exactly one cell: order after every
-    /// cell it overlaps, then make it one cell written by `id`.
-    fn write(&mut self, id: u32, buf: usize, span: Interval) {
+    /// An access of `span` that overlaps cells but is not exactly one,
+    /// where `cells[..hi]` are the cells starting before `span.end`. The
+    /// overlapped cells are rewritten as: the head piece of the first (the
+    /// part before `span.start`), the span's pieces, then the tail piece of
+    /// the last. A write's span is one cell it wrote; a read's pieces are
+    /// the overlapped parts, each with its reader list joined, and the
+    /// holes between them, which all share one new reader node.
+    fn rewrite(&mut self, id: u32, buf: usize, span: Interval, writes: bool, hi: usize) {
         let cells = &mut self.cells[buf];
-        let mut tail = None;
-        // A cell straddling `span.start` keeps its head, and its tail when
-        // it also straddles `span.end`.
-        if let Some((_, cell)) = cells.range_mut(..span.start).next_back() {
-            if cell.end > span.start {
+        let lo = cells[..hi].partition_point(|c| c.end <= span.start);
+        let out = &mut self.scratch;
+        out.clear();
+        let (first, last) = (cells[lo], cells[hi - 1]);
+        if first.start < span.start {
+            out.push(Cell {
+                end: span.start,
+                ..first
+            });
+        }
+        if writes {
+            for cell in &cells[lo..hi] {
                 note_all(&self.readers, cell, id, &mut self.preds);
-                if cell.end > span.end {
-                    tail = Some(*cell);
+            }
+            out.push(Cell {
+                start: span.start,
+                end: span.end,
+                writer: id,
+                readers: NONE,
+            });
+        } else {
+            let holes = push(&mut self.readers, NONE, id);
+            let hole = move |start, end| Cell {
+                start,
+                end,
+                writer: NONE,
+                readers: holes,
+            };
+            let mut cursor = span.start;
+            for cell in &cells[lo..hi] {
+                if cell.start > cursor {
+                    out.push(hole(cursor, cell.start));
                 }
-                cell.end = span.start;
+                note_writer(cell, id, &mut self.preds);
+                let readers = push(&mut self.readers, cell.readers, id);
+                let start = cell.start.max(span.start);
+                cursor = cell.end.min(span.end);
+                out.push(Cell {
+                    start,
+                    end: cursor,
+                    readers,
+                    ..*cell
+                });
+            }
+            if cursor < span.end {
+                out.push(hole(cursor, span.end));
             }
         }
-        let gone = &mut self.scratch;
-        gone.clear();
-        for (&start, cell) in cells.range(span.start..span.end) {
-            note_all(&self.readers, cell, id, &mut self.preds);
-            if cell.end > span.end {
-                tail = Some(*cell);
-            }
-            if start > span.start {
-                gone.push((start, cell.end));
-            }
+        if last.end > span.end {
+            out.push(Cell {
+                start: span.end,
+                ..last
+            });
         }
-        for &(start, _) in gone.iter() {
-            cells.remove(&start);
-        }
-        if let Some(cell) = tail {
-            cells.insert(span.end, cell);
-        }
-        let cell = Cell {
-            end: span.end,
-            writer: id,
-            readers: NONE,
-        };
-        cells.insert(span.start, cell);
+        cells.splice(lo..hi, out.drain(..));
     }
 }
 
@@ -324,18 +313,6 @@ fn push(readers: &mut Vec<(u32, u32)>, head: u32, id: u32) -> u32 {
     );
     readers.push((id, head));
     (readers.len() - 1) as u32
-}
-
-/// Make `at` a cell boundary: a cell straddling it becomes two with the
-/// same writer and readers.
-fn split(cells: &mut BTreeMap<u64, Cell>, at: u64) {
-    if let Some((_, cell)) = cells.range_mut(..at).next_back() {
-        if cell.end > at {
-            let tail = *cell;
-            cell.end = at;
-            cells.insert(at, tail);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,15 @@
 //! the dependence analysis (who last wrote these items?) and the coherence
 //! directory (which memory space holds a valid copy of these items?) reduce
 //! to bookkeeping over half-open intervals `[start, end)` of item indices.
+//!
+//! An [`IntervalSet`] keeps its runs in one sorted `Vec`. A query finds the
+//! first run ending after its start by binary search and walks forward from
+//! there, so it costs O(log n + k), k the runs it touches; an insert or a
+//! remove also moves the runs after them. The sets stay small (at most a
+//! few hundred runs in the paper's programs), so that move is a short
+//! `memmove`.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A half-open interval `[start, end)` over item indices.
@@ -65,10 +71,10 @@ impl Interval {
 }
 
 /// A set of disjoint, non-adjacent intervals (kept normalised).
-#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct IntervalSet {
-    // start -> end, disjoint and non-adjacent.
-    runs: BTreeMap<u64, u64>,
+    /// Ascending, disjoint and non-adjacent, none empty.
+    runs: Vec<Interval>,
 }
 
 impl fmt::Debug for IntervalSet {
@@ -94,14 +100,12 @@ impl IntervalSet {
 
     /// Iterate the disjoint runs in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = Interval> + '_ {
-        self.runs
-            .iter()
-            .map(|(&start, &end)| Interval { start, end })
+        self.runs.iter().copied()
     }
 
     /// Total number of items covered.
     pub fn total_len(&self) -> u64 {
-        self.runs.iter().map(|(&s, &e)| e - s).sum()
+        self.runs.iter().map(Interval::len).sum()
     }
 
     /// `true` when nothing is covered.
@@ -109,27 +113,33 @@ impl IntervalSet {
         self.runs.is_empty()
     }
 
+    /// Index of the first run ending after `at`: the first that can share
+    /// an index with an interval starting at `at`.
+    fn first_after(&self, at: u64) -> usize {
+        self.runs.partition_point(|r| r.end <= at)
+    }
+
     /// Add an interval, merging with existing runs.
     pub fn insert(&mut self, iv: Interval) {
         if iv.is_empty() {
             return;
         }
-        let mut start = iv.start;
-        let mut end = iv.end;
-        // Absorb every run that overlaps or touches [start, end): at most one
-        // starts before `iv.start` (the runs are disjoint and non-adjacent),
-        // the rest start within [iv.start, end].
-        if let Some((&s, &e)) = self.runs.range(..iv.start).next_back() {
-            if e >= iv.start {
-                start = s;
-                end = end.max(e);
-            }
+        // The runs that overlap or touch `iv` become one run.
+        let lo = self.runs.partition_point(|r| r.end < iv.start);
+        let n = self.runs[lo..]
+            .iter()
+            .take_while(|r| r.start <= iv.end)
+            .count();
+        if n == 0 {
+            self.runs.insert(lo, iv);
+            return;
         }
-        while let Some((&s, &e)) = self.runs.range(iv.start..=end).next() {
-            self.runs.remove(&s);
-            end = end.max(e);
-        }
-        self.runs.insert(start, end);
+        let merged = Interval {
+            start: iv.start.min(self.runs[lo].start),
+            end: iv.end.max(self.runs[lo + n - 1].end),
+        };
+        self.runs[lo] = merged;
+        self.runs.drain(lo + 1..lo + n);
     }
 
     /// Remove an interval from the set.
@@ -137,24 +147,26 @@ impl IntervalSet {
         if iv.is_empty() {
             return;
         }
-        // A run straddling `iv.start` keeps its head (and, if it also
-        // straddles `iv.end`, its tail).
-        if let Some((&s, &e)) = self.runs.range(..iv.start).next_back() {
-            if e > iv.start {
-                self.runs.insert(s, iv.start);
-                if e > iv.end {
-                    self.runs.insert(iv.end, e);
-                    return;
-                }
-            }
+        // The overlapped runs leave at most the head of the first and the
+        // tail of the last.
+        let lo = self.first_after(iv.start);
+        let n = self.runs[lo..]
+            .iter()
+            .take_while(|r| r.start < iv.end)
+            .count();
+        if n == 0 {
+            return;
         }
-        // Runs starting inside `iv` go; the last may keep a tail.
-        while let Some((&s, &e)) = self.runs.range(iv.start..iv.end).next() {
-            self.runs.remove(&s);
-            if e > iv.end {
-                self.runs.insert(iv.end, e);
-            }
-        }
+        let (first, last) = (self.runs[lo], self.runs[lo + n - 1]);
+        let head = (first.start < iv.start).then_some(Interval {
+            start: first.start,
+            end: iv.start,
+        });
+        let tail = (last.end > iv.end).then_some(Interval {
+            start: iv.end,
+            end: last.end,
+        });
+        self.runs.splice(lo..lo + n, head.into_iter().chain(tail));
     }
 
     /// `true` if every index of `iv` is covered.
@@ -162,26 +174,19 @@ impl IntervalSet {
         if iv.is_empty() {
             return true;
         }
-        // The run starting at or before iv.start must reach iv.end.
-        match self.runs.range(..=iv.start).next_back() {
-            Some((_, &e)) => e >= iv.end,
-            None => false,
-        }
+        // Runs are non-adjacent, so one run must hold all of `iv`.
+        self.runs
+            .get(self.first_after(iv.start))
+            .is_some_and(|r| r.contains(&iv))
     }
 
-    /// The covered parts of `iv`, ascending: only the run covering
-    /// `iv.start` and the runs starting inside `iv` are visited.
+    /// The covered parts of `iv`, ascending: only the runs overlapping `iv`
+    /// are visited.
     fn clipped(&self, iv: Interval) -> impl Iterator<Item = Interval> + '_ {
-        // The last run starting at or before `iv.start` is the only earlier
-        // run that can reach into `iv`, since runs are disjoint.
-        let from = self
-            .runs
-            .range(..=iv.start)
-            .next_back()
-            .map_or(iv.start, |(&s, _)| s);
-        self.runs
-            .range(from..iv.end)
-            .filter_map(move |(&start, &end)| Interval { start, end }.intersect(&iv))
+        self.runs[self.first_after(iv.start)..]
+            .iter()
+            .take_while(move |r| r.start < iv.end)
+            .filter_map(move |r| r.intersect(&iv))
     }
 
     /// The part of `iv` NOT covered by this set, as disjoint intervals.

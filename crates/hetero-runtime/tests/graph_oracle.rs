@@ -5,12 +5,16 @@
 //! indexed [`TaskGraph::build`] must produce exactly the same predecessors,
 //! successors and epochs on any program, including the corner cases the
 //! planner never emits: empty spans, halos on writes, whole-buffer accesses
-//! and tasks touching one buffer several times. It is also checked once at
-//! the size the paper matrix runs.
+//! and tasks touching one buffer several times. It is also checked on three
+//! deterministic programs at the size the paper matrix runs: a STREAM loop
+//! of mostly aligned chunks, a HotSpot-shaped stencil whose halos straddle
+//! every chunk boundary, and an SP-Varied-shaped loop whose kernels split
+//! the same buffers into different chunk counts.
 
 use hetero_platform::KernelProfile;
 use hetero_runtime::{
-    Access, AccessMode, BufferId, Interval, Op, Program, ProgramBuilder, Region, TaskGraph, TaskId,
+    split_even, Access, AccessMode, BufferId, Interval, Op, Program, ProgramBuilder, Region,
+    TaskGraph, TaskId,
 };
 use proptest::prelude::*;
 
@@ -337,5 +341,71 @@ fn stream_loop_sized_program_matches_reference() {
     }
     let p = b.build();
     assert_eq!(p.task_count(), 3840 + 123);
+    assert_matches_reference(&p).unwrap();
+}
+
+/// A HotSpot-shaped stencil: two grids of 96 row chunks, 10 iterations.
+/// Each task reads its chunk of one grid plus one row on each side
+/// (clamped at the edges) and writes its chunk of the other; every
+/// iteration ends with a taskwait and swaps the grids. Every halo read
+/// straddles a boundary the previous iteration's writes left.
+#[test]
+fn hotspot_shaped_stencil_matches_reference() {
+    const CHUNKS: u64 = 96;
+    const CHUNK: u64 = 8;
+    const ROWS: u64 = CHUNKS * CHUNK;
+    let mut b = Program::builder();
+    let mut grids = ["temp", "temp_out"].map(|name| b.buffer(name, ROWS, 4));
+    let k = b.kernel("k", KernelProfile::compute_only(1.0));
+    for _ in 0..10 {
+        for i in 0..CHUNKS {
+            let (s, e) = (i * CHUNK, (i + 1) * CHUNK);
+            let halo = Region::new(grids[0], s.saturating_sub(1), (e + 1).min(ROWS));
+            let accesses = vec![
+                Access::read(halo),
+                Access::write(Region::new(grids[1], s, e)),
+            ];
+            b.submit_dynamic(k, CHUNK, accesses);
+        }
+        b.taskwait();
+        grids.swap(0, 1);
+    }
+    let p = b.build();
+    assert_eq!(p.task_count(), 960);
+    assert_matches_reference(&p).unwrap();
+}
+
+/// An SP-Varied-shaped loop: STREAM's copy, scale, add and triad over the
+/// same three buffers for 10 iterations, each kernel split into its own
+/// chunk count, so most accesses start or end inside another kernel's
+/// chunk.
+#[test]
+fn sp_varied_shaped_loop_matches_reference() {
+    const N: u64 = 96 * 40;
+    let mut b = Program::builder();
+    let [a, bb, c] = ["a", "b", "c"].map(|name| b.buffer(name, N, 4));
+    let k = b.kernel("k", KernelProfile::compute_only(1.0));
+    // (inputs, output, chunk count) of copy, scale, add and triad.
+    let kernels = [
+        (vec![a], c, 96),
+        (vec![c], bb, 37),
+        (vec![a, bb], c, 41),
+        (vec![bb, c], a, 53),
+    ];
+    for _ in 0..10 {
+        for (inputs, output, chunks) in &kernels {
+            for (s, e) in split_even(N, *chunks) {
+                let mut accesses: Vec<Access> = inputs
+                    .iter()
+                    .map(|&x| Access::read(Region::new(x, s, e)))
+                    .collect();
+                accesses.push(Access::write(Region::new(*output, s, e)));
+                b.submit_dynamic(k, e - s, accesses);
+            }
+        }
+        b.taskwait();
+    }
+    let p = b.build();
+    assert_eq!(p.task_count(), 10 * (96 + 37 + 41 + 53));
     assert_matches_reference(&p).unwrap();
 }
