@@ -16,7 +16,7 @@
 //! backs `matchmake diff <a.json> <b.json> [--tolerance pct]`, which exits
 //! non-zero when [`RunDiff::has_regressions`].
 
-use super::metrics::MetricsRegistry;
+use super::metrics::{MetricsRegistry, SeriesValue};
 use serde::{Deserialize, Serialize};
 
 /// Verdict for one series when comparing run B against baseline A.
@@ -85,13 +85,13 @@ fn lower_is_better(name: &str) -> bool {
 fn extract(v: &serde_json::Value) -> Vec<(String, f64)> {
     // Shape 1: a MetricsRegistry export.
     if let Ok(reg) = MetricsRegistry::from_value(v) {
-        if !reg.series.is_empty() {
+        if !reg.is_empty() {
             let mut out = Vec::new();
-            for (id, series) in &reg.series {
+            for (id, series) in reg.iter() {
                 match &series.value {
-                    super::metrics::SeriesValue::Counter(c) => out.push((id.clone(), *c as f64)),
-                    super::metrics::SeriesValue::Gauge(g) => out.push((id.clone(), *g)),
-                    super::metrics::SeriesValue::Histogram(h) => {
+                    SeriesValue::Counter(c) => out.push((id.to_string(), *c as f64)),
+                    SeriesValue::Gauge(g) => out.push((id.to_string(), *g)),
+                    SeriesValue::Histogram(h) => {
                         out.push((format!("{id}.count"), h.count as f64));
                         out.push((format!("{id}.sum_seconds"), h.sum_nanos as f64 / 1e9));
                         out.push((format!("{id}.p50_seconds"), h.quantile(0.50)));

@@ -3,11 +3,19 @@
 //! built-in [`MetricsObserver`] that feeds it from executor events.
 //!
 //! Determinism is load-bearing: the simulator replays byte-for-byte from a
-//! seed, and the exported metrics must too (CI diffs a double run). The
-//! registry therefore keys series in a `BTreeMap` by their rendered identity
-//! (`name{label="value",...}` with labels sorted by key) and renders floats
-//! with Rust's shortest-roundtrip `Display` — no HashMap iteration order, no
-//! locale, no timestamps.
+//! seed, and the exported metrics must too (CI diffs a double run). Every
+//! series therefore has a rendered identity (`name{label="value",...}` with
+//! labels sorted by key), and iteration, export and equality all go in id
+//! order; floats render with Rust's shortest-roundtrip `Display` — no
+//! HashMap iteration order, no locale, no timestamps.
+//!
+//! Series live in one `Vec` in the order they first appear, so each has a
+//! stable *slot*; a `BTreeMap` from id to slot serves lookup by id and
+//! id-ordered walks. Slots are append-only: nothing removes a series. A
+//! named update ([`MetricsRegistry::counter_add`] and its siblings) renders
+//! the id into stack scratch and costs one map lookup, while the
+//! observer's task and transfer hooks keep their series' slots and cost
+//! three indexed writes.
 
 use crate::program::{KernelId, TaskId};
 use crate::stats::RunReport;
@@ -108,6 +116,20 @@ impl LogHistogram {
         }
         Self::bound_secs(HISTOGRAM_BUCKETS)
     }
+
+    /// Accept parsed fields only with exactly [`HISTOGRAM_BUCKETS`] buckets:
+    /// a bucket's bound is `HISTOGRAM_BASE_NANOS << i`, which overflows for a
+    /// longer table, and every writer emits exactly that many.
+    fn checked(self) -> Result<Self, serde::Error> {
+        if self.buckets.len() == HISTOGRAM_BUCKETS {
+            Ok(self)
+        } else {
+            Err(serde::Error::custom(format!(
+                "LogHistogram has {} buckets, expected {HISTOGRAM_BUCKETS}",
+                self.buckets.len()
+            )))
+        }
+    }
 }
 
 impl Serialize for LogHistogram {
@@ -154,12 +176,13 @@ impl Deserialize for LogHistogram {
         let m = v
             .as_map()
             .ok_or_else(|| serde::Error::custom(format!("expected LogHistogram map, got {v:?}")))?;
-        Ok(LogHistogram {
+        LogHistogram {
             buckets: serde::de::field(m, "buckets", "LogHistogram")?,
             overflow: serde::de::field(m, "overflow", "LogHistogram")?,
             count: serde::de::field(m, "count", "LogHistogram")?,
             sum_nanos: serde::de::field(m, "sum_nanos", "LogHistogram")?,
-        })
+        }
+        .checked()
     }
 
     // As derived: the first occurrence of a key wins; `quantiles` (derived
@@ -177,12 +200,13 @@ impl Deserialize for LogHistogram {
             }
         }
         let missing = |f| serde::de::missing(f, "LogHistogram");
-        Ok(LogHistogram {
+        LogHistogram {
             buckets: buckets.ok_or_else(|| missing("buckets"))?,
             overflow: overflow.ok_or_else(|| missing("overflow"))?,
             count: count.ok_or_else(|| missing("count"))?,
             sum_nanos: sum_nanos.ok_or_else(|| missing("sum_nanos"))?,
-        })
+        }
+        .checked()
     }
 }
 
@@ -220,10 +244,69 @@ impl Series {
 }
 
 /// A registry of labeled series with deterministic iteration and export.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Each series has a stable slot, its index in the order series first
+/// appeared; iteration, export and `==` go in id order, so two registries
+/// holding the same series are equal and export the same bytes whatever
+/// order their series appeared in.
+#[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    /// Series keyed by rendered identity `name{k="v",...}`.
-    pub series: BTreeMap<String, Series>,
+    /// Every series, indexed by slot. Append-only.
+    series: Vec<Series>,
+    /// Rendered identity `name{k="v",...}` → slot.
+    by_id: BTreeMap<String, usize>,
+}
+
+impl PartialEq for MetricsRegistry {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+// The JSON shape is the id-keyed map's: `{"series": [[id, series], ...]}`
+// in id order.
+impl Serialize for MetricsRegistry {
+    fn to_value(&self) -> serde::Value {
+        let series = self.iter().map(|pair| pair.to_value()).collect();
+        serde::Value::Map(vec![("series".into(), serde::Value::Seq(series))])
+    }
+
+    fn write_json(&self, w: &mut serde::json::Writer) {
+        w.begin_map();
+        w.key("series");
+        w.begin_seq();
+        for pair in self.iter() {
+            w.elem();
+            pair.write_json(w);
+        }
+        w.end_seq();
+        w.end_map();
+    }
+}
+
+// As derived for `{ series: BTreeMap<String, Series> }`; the map's entries
+// then take slots in id order.
+impl Deserialize for MetricsRegistry {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected map for MetricsRegistry"))?;
+        let series = serde::de::field(m, "series", "MetricsRegistry")?;
+        Ok(Self::from_map(series))
+    }
+
+    fn read_json(r: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut series = None;
+        r.begin_map()?;
+        while let Some(k) = r.next_key()? {
+            match &*k {
+                "series" if series.is_none() => series = Some(Deserialize::read_json(r)?),
+                _ => r.skip_value()?,
+            }
+        }
+        let series = series.ok_or_else(|| serde::de::missing("series", "MetricsRegistry"))?;
+        Ok(Self::from_map(series))
+    }
 }
 
 /// Render a series identity `name{k="v",...}` (labels already sorted).
@@ -363,7 +446,63 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Store a new series under its rendered `id` (labels already sorted).
+    /// A registry holding `map`'s series, slotted in id order.
+    fn from_map(map: BTreeMap<String, Series>) -> Self {
+        let mut reg = Self::new();
+        for (id, s) in map {
+            reg.push(id, s);
+        }
+        reg
+    }
+
+    /// Every series with its rendered id, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Series)> {
+        self.by_id
+            .iter()
+            .map(|(id, &slot)| (id.as_str(), &self.series[slot]))
+    }
+
+    /// The series stored under the rendered id `name{k="v",...}`.
+    pub fn get(&self, id: &str) -> Option<&Series> {
+        self.by_id.get(id).map(|&slot| &self.series[slot])
+    }
+
+    /// The number of series.
+    pub fn len(&self) -> usize {
+        self.series.len()
+    }
+
+    /// Whether the registry holds no series.
+    pub fn is_empty(&self) -> bool {
+        self.series.is_empty()
+    }
+
+    /// Every series, indexed by slot.
+    pub(super) fn slots(&self) -> &[Series] {
+        &self.series
+    }
+
+    /// Every series with its slot, in id order.
+    pub(super) fn slots_by_id(&self) -> impl Iterator<Item = (usize, &Series)> {
+        self.by_id.values().map(|&slot| (slot, &self.series[slot]))
+    }
+
+    /// The value of the series stored under `id`, for an in-place update.
+    pub(super) fn value_mut(&mut self, id: &str) -> Option<&mut SeriesValue> {
+        self.by_id.get(id).map(|&slot| &mut self.series[slot].value)
+    }
+
+    /// Store a series under `id`, which no series has yet, in the next
+    /// slot; returns the slot.
+    pub(super) fn push(&mut self, id: String, series: Series) -> usize {
+        let slot = self.series.len();
+        self.series.push(series);
+        self.by_id.insert(id, slot);
+        slot
+    }
+
+    /// Store a new series under its rendered `id` (labels already sorted);
+    /// returns its slot.
     fn insert(
         &mut self,
         id: &str,
@@ -371,12 +510,12 @@ impl MetricsRegistry {
         help: &str,
         sorted: &[(&str, &str)],
         value: SeriesValue,
-    ) {
+    ) -> usize {
         let labels = sorted
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
-        self.series.insert(
+        self.push(
             id.to_string(),
             Series {
                 name: name.to_string(),
@@ -384,7 +523,7 @@ impl MetricsRegistry {
                 labels,
                 value,
             },
-        );
+        )
     }
 
     /// Apply `update` to the series `name{labels}`, creating it from `init`
@@ -400,8 +539,8 @@ impl MetricsRegistry {
         init: impl FnOnce() -> SeriesValue,
         update: impl FnOnce(&mut SeriesValue),
     ) {
-        with_id(name, labels, |id, sorted| match self.series.get_mut(id) {
-            Some(s) => update(&mut s.value),
+        with_id(name, labels, |id, sorted| match self.by_id.get(id) {
+            Some(&slot) => update(&mut self.series[slot].value),
             None => {
                 let mut value = init();
                 update(&mut value);
@@ -411,36 +550,34 @@ impl MetricsRegistry {
     }
 
     /// Create a hook's three series under `labels` (those absent start
-    /// empty) and return their ids for [`Self::record_hook`].
-    fn register_hook(&mut self, series: &HookSeries, labels: &[(&str, &str)]) -> [String; 3] {
+    /// empty) and return their slots for [`Self::record_hook`].
+    fn register_hook(&mut self, series: &HookSeries, labels: &[(&str, &str)]) -> [usize; 3] {
         let init = [
             || SeriesValue::Counter(0),
             || SeriesValue::Counter(0),
             || SeriesValue::Histogram(LogHistogram::default()),
         ];
-        let mut ids = <[String; 3]>::default();
-        for ((id, (name, help)), init) in ids.iter_mut().zip(series).zip(init) {
-            *id = with_id(name, labels, |id, sorted| {
-                if !self.series.contains_key(id) {
-                    self.insert(id, name, help, sorted, init());
-                }
-                id.to_string()
+        let mut slots = [0; 3];
+        for ((slot, (name, help)), init) in slots.iter_mut().zip(series).zip(init) {
+            *slot = with_id(name, labels, |id, sorted| match self.by_id.get(id) {
+                Some(&slot) => slot,
+                None => self.insert(id, name, help, sorted, init()),
             });
         }
-        ids
+        slots
     }
 
     /// Count one hook event of size `amount` lasting `latency` on the
-    /// series [`Self::register_hook`] returned: three map hits.
-    fn record_hook(&mut self, ids: &[String; 3], amount: u64, latency: SimTime) {
-        let [events, total, hist] = ids;
-        if let Some(SeriesValue::Counter(c)) = self.series.get_mut(events).map(|s| &mut s.value) {
+    /// slots [`Self::register_hook`] returned: three indexed writes.
+    fn record_hook(&mut self, slots: &[usize; 3], amount: u64, latency: SimTime) {
+        let [events, total, hist] = *slots;
+        if let SeriesValue::Counter(c) = &mut self.series[events].value {
             *c += 1;
         }
-        if let Some(SeriesValue::Counter(c)) = self.series.get_mut(total).map(|s| &mut s.value) {
+        if let SeriesValue::Counter(c) = &mut self.series[total].value {
             *c += amount;
         }
-        if let Some(SeriesValue::Histogram(h)) = self.series.get_mut(hist).map(|s| &mut s.value) {
+        if let SeriesValue::Histogram(h) = &mut self.series[hist].value {
             h.observe(latency);
         }
     }
@@ -510,12 +647,12 @@ impl MetricsRegistry {
     /// Merge another registry: counters add, histograms merge bucketwise,
     /// gauges take the maximum. Series absent here are copied.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (id, s) in &other.series {
-            match self.series.get_mut(id) {
+        for (id, s) in other.iter() {
+            match self.value_mut(id) {
                 None => {
-                    self.series.insert(id.clone(), s.clone());
+                    self.push(id.to_string(), s.clone());
                 }
-                Some(mine) => match (&mut mine.value, &s.value) {
+                Some(mine) => match (mine, &s.value) {
                     (SeriesValue::Counter(a), SeriesValue::Counter(b)) => *a += b,
                     (SeriesValue::Gauge(a), SeriesValue::Gauge(b)) if *b > *a => *a = *b,
                     (SeriesValue::Histogram(a), SeriesValue::Histogram(b)) => a.merge(b),
@@ -530,7 +667,7 @@ impl MetricsRegistry {
     /// identity, histograms expanded to cumulative `_bucket`/`_sum`/`_count`.
     pub fn to_prometheus(&self) -> String {
         let mut families: BTreeMap<&str, Vec<&Series>> = BTreeMap::new();
-        for s in self.series.values() {
+        for (_, s) in self.iter() {
             families.entry(&s.name).or_default().push(s);
         }
         let mut out = String::new();
@@ -612,11 +749,13 @@ pub struct MetricsObserver {
     registry: MetricsRegistry,
     strategy: String,
     dev_names: Vec<String>,
-    /// Task series ids per kernel and device, registered on the pair's
-    /// first task so that later tasks cost three map hits.
-    task_ids: Vec<Vec<Option<[String; 3]>>>,
-    /// Transfer series ids, registered on the first transfer.
-    transfer_ids: Option<[String; 3]>,
+    /// The task series' registry slots per kernel and device, registered
+    /// on the pair's first task so that later tasks cost three indexed
+    /// writes.
+    task_series: Vec<Vec<Option<[usize; 3]>>>,
+    /// The transfer series' registry slots, registered on the first
+    /// transfer.
+    transfer_series: Option<[usize; 3]>,
     dev_slots: Vec<u64>,
     epoch_busy: Vec<SimTime>,
     last_flush_end: SimTime,
@@ -636,8 +775,8 @@ impl MetricsObserver {
                 .iter()
                 .map(|d| d.spec.name.clone())
                 .collect(),
-            task_ids: Vec::new(),
-            transfer_ids: None,
+            task_series: Vec::new(),
+            transfer_series: None,
             dev_slots: platform
                 .devices
                 .iter()
@@ -698,14 +837,14 @@ impl Observer for MetricsObserver {
         start: SimTime,
         end: SimTime,
     ) {
-        if self.task_ids.len() <= kernel.0 {
-            self.task_ids.resize_with(kernel.0 + 1, Vec::new);
+        if self.task_series.len() <= kernel.0 {
+            self.task_series.resize_with(kernel.0 + 1, Vec::new);
         }
-        let per_dev = &mut self.task_ids[kernel.0];
+        let per_dev = &mut self.task_series[kernel.0];
         if per_dev.len() <= dev.0 {
             per_dev.resize_with(dev.0 + 1, || None);
         }
-        let ids = per_dev[dev.0].get_or_insert_with(|| {
+        let slots = per_dev[dev.0].get_or_insert_with(|| {
             let device = self
                 .dev_names
                 .get(dev.0)
@@ -721,7 +860,7 @@ impl Observer for MetricsObserver {
             )
         });
         self.registry
-            .record_hook(ids, items, end.saturating_sub(start));
+            .record_hook(slots, items, end.saturating_sub(start));
         if let Some(b) = self.epoch_busy.get_mut(dev.0) {
             *b += end.saturating_sub(start);
         }
@@ -743,12 +882,12 @@ impl Observer for MetricsObserver {
         start: SimTime,
         end: SimTime,
     ) {
-        let ids = self.transfer_ids.get_or_insert_with(|| {
+        let slots = self.transfer_series.get_or_insert_with(|| {
             self.registry
                 .register_hook(&TRANSFER_SERIES, &[("strategy", &self.strategy)])
         });
         self.registry
-            .record_hook(ids, bytes, end.saturating_sub(start));
+            .record_hook(slots, bytes, end.saturating_sub(start));
     }
 
     fn on_epoch_end(&mut self, epoch: usize, _start: SimTime, end: SimTime) {
@@ -989,11 +1128,60 @@ mod tests {
         b.counter_add("hm_c", "h", &[], 2);
         b.gauge_set("hm_g", "h", &[], 4.0);
         a.merge(&b);
-        match &a.series.get("hm_c").unwrap().value {
+        match &a.get("hm_c").unwrap().value {
             SeriesValue::Counter(c) => assert_eq!(*c, 3),
             _ => panic!("counter expected"),
         }
-        assert!(a.series.contains_key("hm_g"));
+        assert!(a.get("hm_g").is_some());
+    }
+
+    /// One histogram series with `n` buckets, its five observations in
+    /// bucket `hot`, as a snapshot's changed series and a registry export.
+    fn histogram_docs(n: usize, hot: usize) -> (String, String) {
+        let buckets: Vec<&str> = (0..n).map(|i| if i == hot { "5" } else { "0" }).collect();
+        let series = format!(
+            r#"{{"name":"hm_lat_seconds","help":"lat","labels":[],"value":{{"Histogram":{{"buckets":[{}],"overflow":0,"count":5,"sum_nanos":5000}}}}}}"#,
+            buckets.join(",")
+        );
+        let line = format!(
+            r#"{{"seq":0,"epoch":null,"at":0,"tasks_total":0,"faults_total":0,"open":{{"quarantined":[],"dead":[],"correlated_open":0}},"changed":[{series}]}}"#
+        );
+        (
+            line,
+            format!(r#"{{"series":[["hm_lat_seconds",{series}]]}}"#),
+        )
+    }
+
+    #[test]
+    fn histograms_parse_only_with_the_written_bucket_count() {
+        use crate::obs::{fold_stream, RunDiff};
+        let p50 = |diff: &RunDiff| {
+            diff.entries
+                .iter()
+                .any(|e| e.name.ends_with(".p50_seconds"))
+        };
+        // The count every writer emits parses, on both read paths.
+        let (line, export) = histogram_docs(HISTOGRAM_BUCKETS, 2);
+        let reg: MetricsRegistry = serde_json::from_str(&export).unwrap();
+        assert_eq!(reg.to_json(), fold_stream(&line).unwrap().to_json());
+        assert!(p50(&RunDiff::between(&export, &export, 0.0).unwrap()));
+        // Another count is a typed error naming it: bucket 66's bound would
+        // shift past 64 bits.
+        for (n, hot) in [(70, 66), (3, 2)] {
+            let (line, export) = histogram_docs(n, hot);
+            let want = format!("LogHistogram has {n} buckets, expected {HISTOGRAM_BUCKETS}");
+            let tree: serde::Value = serde_json::from_str(&export).unwrap();
+            let err = MetricsRegistry::from_value(&tree).unwrap_err();
+            assert!(err.to_string().contains(&want), "{n}: {err}");
+            let mut r = serde::json::Reader::new(&export);
+            let err = MetricsRegistry::read_json(&mut r).unwrap_err();
+            assert!(err.to_string().contains(&want), "{n}: {err}");
+            // `matchmake diff` reads such a file as generic numeric leaves.
+            let diff = RunDiff::between(&export, &export, 0.0).unwrap();
+            assert!(!diff.entries.is_empty() && !p50(&diff), "{n} buckets");
+            let err = fold_stream(&line).unwrap_err().to_string();
+            assert!(err.starts_with("stream line 1: "), "{n}: {err}");
+        }
     }
 
     #[test]

@@ -15,8 +15,15 @@
 //! function of the run, so CI can double-run and byte-diff it, and a
 //! crash+resume run (which re-executes from `t = 0` under redo-replay)
 //! emits the identical stream.
+//!
+//! A barrier costs one walk over the registry's slots in id order: each
+//! series is compared with its value at the previous snapshot, kept in a
+//! vector indexed by the same slot, and only a changed series builds a
+//! delta value. The line is written from a borrowed mirror of
+//! [`EpochSnapshot`] whose name, help and labels point into the registry,
+//! so nothing per series is cloned but the delta itself.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use super::metrics::{MetricsObserver, MetricsRegistry, Series, SeriesValue};
 use super::Observer;
@@ -68,11 +75,11 @@ pub struct EpochSnapshot {
 pub fn apply_snapshot(reg: &mut MetricsRegistry, snap: &EpochSnapshot) -> Result<(), serde::Error> {
     for s in &snap.changed {
         let id = s.id();
-        match reg.series.get_mut(&id) {
+        match reg.value_mut(&id) {
             None => {
-                reg.series.insert(id, s.clone());
+                reg.push(id, s.clone());
             }
-            Some(mine) => match (&mut mine.value, &s.value) {
+            Some(mine) => match (mine, &s.value) {
                 (SeriesValue::Counter(a), SeriesValue::Counter(b)) => *a += b,
                 (SeriesValue::Gauge(a), SeriesValue::Gauge(b)) => *a = *b,
                 (SeriesValue::Histogram(a), SeriesValue::Histogram(b)) => a.merge(b),
@@ -117,6 +124,29 @@ pub fn fold_stream(stream: &str) -> Result<MetricsRegistry, serde::Error> {
 /// A live per-line sink for emitted snapshot lines.
 type LineSink = Box<dyn FnMut(&str)>;
 
+/// [`EpochSnapshot`] as [`SnapshotObserver`] writes it: the same fields in
+/// the same order, so the bytes are an `EpochSnapshot`'s.
+#[derive(Serialize)]
+struct SnapshotLine<'a> {
+    seq: u64,
+    epoch: Option<u64>,
+    at: SimTime,
+    tasks_total: u64,
+    faults_total: u64,
+    open: OpenState,
+    changed: Vec<SeriesLine<'a>>,
+}
+
+/// [`Series`] as a snapshot line writes it, with its name, help and labels
+/// borrowed from the registry and its delta value owned.
+#[derive(Serialize)]
+struct SeriesLine<'a> {
+    name: &'a str,
+    help: &'a str,
+    labels: &'a [(String, String)],
+    value: SeriesValue,
+}
+
 /// The streaming metrics sink: a [`MetricsObserver`] that additionally
 /// emits one delta-encoded [`EpochSnapshot`] JSON line per committed epoch
 /// flush, plus a final run-end line. Lines are collected in order (see
@@ -124,10 +154,10 @@ type LineSink = Box<dyn FnMut(&str)>;
 /// they are produced.
 pub struct SnapshotObserver {
     inner: MetricsObserver,
-    /// Every series' value at the previous snapshot, keyed like the
-    /// registry. Values are updated in place; only a series that appeared
-    /// since the last snapshot adds a key.
-    prev: BTreeMap<String, SeriesValue>,
+    /// Every series' value at the previous snapshot, indexed by the
+    /// registry's slots; `None` for a series that appeared since. Values
+    /// are updated in place.
+    prev: Vec<Option<SeriesValue>>,
     lines: Vec<String>,
     seq: u64,
     quarantined: BTreeSet<usize>,
@@ -152,7 +182,7 @@ impl SnapshotObserver {
     pub fn new(platform: &Platform, strategy: &str) -> Self {
         Self {
             inner: MetricsObserver::new(platform, strategy),
-            prev: BTreeMap::new(),
+            prev: Vec::new(),
             lines: Vec::new(),
             seq: 0,
             quarantined: BTreeSet::new(),
@@ -191,8 +221,8 @@ impl SnapshotObserver {
     }
 
     fn counter_sum(reg: &MetricsRegistry, name: &str) -> u64 {
-        reg.series
-            .values()
+        reg.slots()
+            .iter()
             .filter(|s| s.name == name)
             .map(|s| match &s.value {
                 SeriesValue::Counter(c) => *c,
@@ -201,8 +231,10 @@ impl SnapshotObserver {
             .sum()
     }
 
-    fn delta(prev: &SeriesValue, cur: &Series) -> Series {
-        let value = match (prev, &cur.value) {
+    /// The advance from `prev` to `cur`: counters and histograms carry the
+    /// increment, gauges the new absolute value.
+    fn delta_value(prev: &SeriesValue, cur: &SeriesValue) -> SeriesValue {
+        match (prev, cur) {
             (SeriesValue::Counter(a), SeriesValue::Counter(b)) => {
                 SeriesValue::Counter(b.saturating_sub(*a))
             }
@@ -219,12 +251,6 @@ impl SnapshotObserver {
             // Gauges (and the impossible kind-change case) are carried as
             // the new absolute value.
             (_, v) => v.clone(),
-        };
-        Series {
-            name: cur.name.clone(),
-            help: cur.help.clone(),
-            labels: cur.labels.clone(),
-            value,
         }
     }
 
@@ -244,21 +270,26 @@ impl SnapshotObserver {
     fn emit(&mut self, epoch: Option<u64>, at: SimTime) {
         self.correlated_until.retain(|&u| u > at);
         let cur = self.inner.registry();
+        self.prev.resize(cur.len(), None);
         let mut changed = Vec::new();
-        for (id, s) in &cur.series {
-            match self.prev.get_mut(id) {
-                Some(p) if *p == s.value => {}
+        for (slot, s) in cur.slots_by_id() {
+            let value = match &mut self.prev[slot] {
+                Some(p) if *p == s.value => continue,
                 Some(p) => {
-                    changed.push(Self::delta(p, s));
+                    let d = Self::delta_value(p, &s.value);
                     Self::assign(p, &s.value);
+                    d
                 }
-                None => {
-                    changed.push(s.clone());
-                    self.prev.insert(id.clone(), s.value.clone());
-                }
-            }
+                p @ None => p.insert(s.value.clone()).clone(),
+            };
+            changed.push(SeriesLine {
+                name: &s.name,
+                help: &s.help,
+                labels: &s.labels,
+                value,
+            });
         }
-        let snap = EpochSnapshot {
+        let snap = SnapshotLine {
             seq: self.seq,
             epoch,
             at,

@@ -715,8 +715,7 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         tree.export_metrics(&mut reg, "test");
         assert!(reg
-            .series
-            .keys()
-            .any(|k| k.starts_with("hm_span_seconds{") && k.contains("kind=\"task\"")));
+            .iter()
+            .any(|(k, _)| k.starts_with("hm_span_seconds{") && k.contains("kind=\"task\"")));
     }
 }

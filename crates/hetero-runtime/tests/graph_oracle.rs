@@ -344,35 +344,40 @@ fn stream_loop_sized_program_matches_reference() {
     assert_matches_reference(&p).unwrap();
 }
 
-/// A HotSpot-shaped stencil: two grids of 96 row chunks, 10 iterations.
-/// Each task reads its chunk of one grid plus one row on each side
-/// (clamped at the edges) and writes its chunk of the other; every
-/// iteration ends with a taskwait and swaps the grids. Every halo read
-/// straddles a boundary the previous iteration's writes left.
+/// A HotSpot-shaped stencil: 96 row chunks, 10 iterations. Each task
+/// reads its chunk of one grid plus one row on each side (clamped at the
+/// edges) and writes its chunk of the next; every iteration ends with a
+/// taskwait and rotates the grids. Every halo read straddles a boundary
+/// the previous iteration's writes left. With two grids (swapped, as
+/// HotSpot does) a task's halo RAW predecessors are also the WAR
+/// predecessors of its write, so a dropped RAW edge would hide; with three
+/// the WAR predecessors are two iterations back and the RAW ones one back.
 #[test]
 fn hotspot_shaped_stencil_matches_reference() {
     const CHUNKS: u64 = 96;
     const CHUNK: u64 = 8;
     const ROWS: u64 = CHUNKS * CHUNK;
-    let mut b = Program::builder();
-    let mut grids = ["temp", "temp_out"].map(|name| b.buffer(name, ROWS, 4));
-    let k = b.kernel("k", KernelProfile::compute_only(1.0));
-    for _ in 0..10 {
-        for i in 0..CHUNKS {
-            let (s, e) = (i * CHUNK, (i + 1) * CHUNK);
-            let halo = Region::new(grids[0], s.saturating_sub(1), (e + 1).min(ROWS));
-            let accesses = vec![
-                Access::read(halo),
-                Access::write(Region::new(grids[1], s, e)),
-            ];
-            b.submit_dynamic(k, CHUNK, accesses);
+    for names in [&["temp", "temp_out"][..], &["g0", "g1", "g2"]] {
+        let mut b = Program::builder();
+        let mut grids: Vec<_> = names.iter().map(|name| b.buffer(name, ROWS, 4)).collect();
+        let k = b.kernel("k", KernelProfile::compute_only(1.0));
+        for _ in 0..10 {
+            for i in 0..CHUNKS {
+                let (s, e) = (i * CHUNK, (i + 1) * CHUNK);
+                let halo = Region::new(grids[0], s.saturating_sub(1), (e + 1).min(ROWS));
+                let accesses = vec![
+                    Access::read(halo),
+                    Access::write(Region::new(grids[1], s, e)),
+                ];
+                b.submit_dynamic(k, CHUNK, accesses);
+            }
+            b.taskwait();
+            grids.rotate_left(1);
         }
-        b.taskwait();
-        grids.swap(0, 1);
+        let p = b.build();
+        assert_eq!(p.task_count(), 960);
+        assert_matches_reference(&p).unwrap_or_else(|e| panic!("{} grids: {e}", names.len()));
     }
-    let p = b.build();
-    assert_eq!(p.task_count(), 960);
-    assert_matches_reference(&p).unwrap();
 }
 
 /// An SP-Varied-shaped loop: STREAM's copy, scale, add and triad over the

@@ -2,16 +2,21 @@
 //!
 //! A counting global allocator pins the hot paths: once a series exists,
 //! registry updates and the metrics observer's per-task and per-transfer
-//! hooks must not touch the heap. A property test checks that the
-//! allocation-free lookup finds exactly the series a fresh insert would
-//! create, whatever order the labels come in.
+//! hooks must not touch the heap, and a snapshot barrier must not copy a
+//! name, help text or label list per changed series. A property test
+//! checks that the allocation-free lookup finds exactly the series a fresh
+//! insert would create, whatever order the labels come in, and that the
+//! order series first appear in (their slots) shows in no export.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use hetero_platform::{DeviceId, MemSpaceId, Platform, SimTime};
-use hetero_runtime::{KernelId, MetricsObserver, MetricsRegistry, Observer, SeriesValue, TaskId};
+use hetero_runtime::{
+    EpochSnapshot, KernelId, MetricsObserver, MetricsRegistry, Observer, SeriesValue,
+    SnapshotObserver, TaskId,
+};
 use proptest::prelude::*;
 
 /// Counts heap allocations made by the current thread while enabled, so
@@ -101,7 +106,7 @@ fn registry_updates_on_existing_series_do_not_allocate() {
     for [canonical, _] in label_sets {
         update(&mut r, canonical);
     }
-    let warm = r.series.len();
+    let warm = r.len();
     for [canonical, shuffled] in label_sets {
         for labels in [canonical, shuffled] {
             let n = allocations(|| update(&mut r, labels));
@@ -111,12 +116,12 @@ fn registry_updates_on_existing_series_do_not_allocate() {
             );
         }
     }
-    assert_eq!(
-        r.series.len(),
-        warm,
-        "shuffled labels found the same series"
-    );
-    match &r.series["hm_c_total{device=\"gpu\",kernel=\"k1\",strategy=\"SP-Unified\"}"].value {
+    assert_eq!(r.len(), warm, "shuffled labels found the same series");
+    match &r
+        .get("hm_c_total{device=\"gpu\",kernel=\"k1\",strategy=\"SP-Unified\"}")
+        .expect("the series exists")
+        .value
+    {
         SeriesValue::Counter(c) => assert_eq!(*c, 6),
         other => panic!("counter expected, got {other:?}"),
     }
@@ -148,7 +153,7 @@ fn task_and_transfer_hooks_do_not_allocate_once_warm() {
         "hm_tasks_total{{device=\"{}\",kernel=\"k1\",strategy=\"SP-Unified\"}}",
         platform.devices[1].spec.name
     );
-    match &obs.registry().series[&id].value {
+    match &obs.registry().get(&id).expect("the series exists").value {
         SeriesValue::Counter(c) => assert_eq!(*c, 4),
         other => panic!("counter expected, got {other:?}"),
     }
@@ -191,13 +196,42 @@ struct Expected {
     count: u64,
 }
 
+/// One generated update: series name, which label keys, which values, a
+/// shuffle seed, the delta and the help text's number.
+type Update = (usize, usize, usize, u64, u64, usize);
+
+/// Apply `update` to `r` and return the id the series must be stored
+/// under.
+fn apply(r: &mut MetricsRegistry, (name, mask, vals, shuffle, delta, help): Update) -> String {
+    let name = NAMES[name];
+    let mut labels: Vec<(&str, &str)> = (0..KEYS.len())
+        .filter(|i| mask & (1 << i) != 0)
+        .map(|i| (KEYS[i], VALUES[(vals >> (3 * i)) & 7]))
+        .collect();
+    // A deterministic shuffle driven by the generated seed.
+    let mut s = shuffle;
+    for i in (1..labels.len()).rev() {
+        labels.swap(i, (s % (i as u64 + 1)) as usize);
+        s = s / (i as u64 + 1) + 7;
+    }
+    let help = format!("help {help}");
+    if name == "hm_h_seconds" {
+        r.observe(name, &help, &labels, SimTime::from_nanos(delta));
+    } else {
+        r.counter_add(name, &help, &labels, delta);
+    }
+    expected_id(name, &labels)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Property: whatever order labels arrive in, updates land on the
     /// series a fresh insert creates — keys equal `Series::id()`, counter
     /// totals equal the summed deltas, histogram counts match, and the
-    /// first help text wins.
+    /// first help text wins. `iter` walks the model's ids in order, `get`
+    /// finds each one, and a registry fed the same updates one series at a
+    /// time, in another series order, is equal and exports the same bytes.
     #[test]
     fn lookup_finds_the_series_an_insert_creates(
         ops in proptest::collection::vec(
@@ -207,38 +241,26 @@ proptest! {
     ) {
         let mut r = MetricsRegistry::new();
         let mut model: BTreeMap<String, Expected> = BTreeMap::new();
-        for (name, mask, vals, shuffle, delta, help) in ops {
-            let name = NAMES[name];
-            let mut labels: Vec<(&str, &str)> = (0..KEYS.len())
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| (KEYS[i], VALUES[(vals >> (3 * i)) & 7]))
-                .collect();
-            // A deterministic shuffle driven by the generated seed.
-            let mut s = shuffle;
-            for i in (1..labels.len()).rev() {
-                labels.swap(i, (s % (i as u64 + 1)) as usize);
-                s = s / (i as u64 + 1) + 7;
-            }
-            let help = format!("help {help}");
-            let e = model.entry(expected_id(name, &labels)).or_insert_with(|| Expected {
-                help: help.clone(),
+        let mut ids = Vec::new();
+        for &op in &ops {
+            let id = apply(&mut r, op);
+            let (name, _, _, _, delta, help) = op;
+            let e = model.entry(id.clone()).or_insert_with(|| Expected {
+                help: format!("help {help}"),
                 ..Expected::default()
             });
-            if name == "hm_h_seconds" {
-                r.observe(name, &help, &labels, SimTime::from_nanos(delta));
+            if NAMES[name] == "hm_h_seconds" {
                 e.count += 1;
-                e.total += delta;
-            } else {
-                r.counter_add(name, &help, &labels, delta);
-                e.total += delta;
             }
+            e.total += delta;
+            ids.push(id);
         }
-        prop_assert_eq!(r.series.len(), model.len());
-        for (id, s) in &r.series {
-            prop_assert_eq!(id, &s.id());
-            let e = model.get(id);
-            prop_assert!(e.is_some(), "unexpected series {}", id);
-            let e = e.unwrap();
+        prop_assert_eq!(r.len(), model.len());
+        prop_assert!(!r.is_empty());
+        prop_assert!(r.iter().map(|(id, _)| id).eq(model.keys().map(String::as_str)));
+        for (id, s) in r.iter() {
+            prop_assert_eq!(id, s.id());
+            let e = &model[id];
             prop_assert_eq!(&s.help, &e.help);
             match &s.value {
                 SeriesValue::Counter(c) => prop_assert_eq!(*c, e.total),
@@ -249,5 +271,67 @@ proptest! {
                 SeriesValue::Gauge(_) => prop_assert!(false, "no gauges were written"),
             }
         }
+        for id in model.keys() {
+            prop_assert_eq!(r.get(id).map(|s| s.id()), Some(id.clone()));
+        }
+
+        // The same updates, series by series in descending id order, each
+        // series' own updates in their original order (so the same help
+        // text wins): the slots differ, the content does not.
+        let mut order: Vec<usize> = (0..ops.len()).collect();
+        order.sort_by(|&a, &b| ids[b].cmp(&ids[a]));
+        let mut other = MetricsRegistry::new();
+        for i in order {
+            apply(&mut other, ops[i]);
+        }
+        prop_assert!(other == r);
+        prop_assert_eq!(other.to_json(), r.to_json());
+        prop_assert_eq!(other.to_prometheus(), r.to_prometheus());
     }
+}
+
+/// Allocations made by one barrier at which `k` kernels' task series
+/// changed: each kernel runs one task, a barrier snapshots them, each
+/// runs another, and the second barrier is counted.
+fn barrier_allocations(k: usize) -> u64 {
+    let platform = Platform::test_small();
+    let mut obs = SnapshotObserver::new(&platform, "SP-Unified");
+    let t = SimTime::from_micros;
+    let round = |obs: &mut SnapshotObserver, epoch: u64| {
+        for kernel in 0..k {
+            let start = t(100 * epoch + kernel as u64);
+            obs.on_task_start(
+                TaskId(kernel),
+                KernelId(kernel),
+                DeviceId(1),
+                64,
+                start,
+                start + t(7),
+            );
+        }
+    };
+    round(&mut obs, 0);
+    obs.on_epoch_end(0, t(90), t(100));
+    round(&mut obs, 1);
+    let n = allocations(|| obs.on_epoch_end(1, t(190), t(200)));
+    let last: EpochSnapshot = serde_json::from_str(obs.lines().last().unwrap()).unwrap();
+    let tasks = last
+        .changed
+        .iter()
+        .filter(|s| s.name.starts_with("hm_task"))
+        .count();
+    assert_eq!(tasks, 3 * k, "each kernel changed its three task series");
+    n
+}
+
+#[test]
+fn a_barrier_clones_nothing_per_changed_series() {
+    // 49 more kernels change 147 more series. The barrier may allocate a
+    // histogram delta per kernel and grow its buffers, but must not copy a
+    // name, help text or label list per series.
+    let extra = barrier_allocations(50) - barrier_allocations(1);
+    assert!(
+        extra < 3 * 49,
+        "a barrier with 49 more changed kernels allocated {extra} more times"
+    );
 }

@@ -18,7 +18,7 @@ use hetero_match::runtime::{
 
 /// Every series name a registry holds (base names, labels stripped).
 fn emitted(registry: &MetricsRegistry) -> BTreeSet<String> {
-    registry.series.values().map(|s| s.name.clone()).collect()
+    registry.iter().map(|(_, s)| s.name.clone()).collect()
 }
 
 /// Every `hm_*` name documented in a catalog table row.
