@@ -115,9 +115,9 @@ use hetero_runtime::{
     Observer, RunDiff, SnapshotObserver, SpanTree, TraceObserver, DEFAULT_GANTT_WIDTH,
 };
 use matchmaker::{
-    encode_response, run_load, tune_task_size, Analyzer, AppDescriptor, Arrival, ChaosSchedule,
-    ExecutionConfig, JournalError, JournalSink, LoadConfig, PlanService, ProfileStore,
-    ReplanConfig, RunJournal, RunSpec, ServiceConfig, Strategy,
+    encode_response, frame_head, run_load, tune_task_size, Analyzer, AppDescriptor, Arrival,
+    ChaosSchedule, ExecutionConfig, JournalError, JournalSink, LoadConfig, PlanService,
+    ProfileStore, ReplanConfig, RunJournal, RunSpec, ServiceConfig, Strategy,
 };
 use std::env;
 use std::fs;
@@ -1031,33 +1031,93 @@ fn main() {
 
 /// Split a raw byte stream into HTTP/1.1 request frames: each frame is a
 /// header block (terminated by `\r\n\r\n`) plus `content-length` body
-/// bytes. A stream whose tail has no terminator or no parseable length is
-/// passed through as one final frame — the codec answers it with a typed
-/// `ServiceError` rather than this splitter guessing.
+/// bytes, read by the service's own [`frame_head`]. A stream whose tail
+/// cannot be delimited (no terminator, or a length the service would
+/// reject as a framing error, such as two `content-length` headers that
+/// disagree) is passed through as one final frame — the codec answers it
+/// with a typed `ServiceError` rather than this splitter guessing.
 fn split_frames(mut buf: &[u8]) -> Vec<Vec<u8>> {
     let mut frames = Vec::new();
     while !buf.is_empty() {
-        let Some(he) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+        let Ok((body_at, len)) = frame_head(buf).and_then(|h| Ok((h.body_at, h.content_length()?)))
+        else {
             frames.push(buf.to_vec());
             break;
         };
-        let len = std::str::from_utf8(&buf[..he]).ok().and_then(|head| {
-            head.lines().find_map(|l| {
-                let (k, v) = l.split_once(':')?;
-                if k.trim().eq_ignore_ascii_case("content-length") {
-                    v.trim().parse::<usize>().ok()
-                } else {
-                    None
-                }
-            })
-        });
-        let Some(len) = len else {
-            frames.push(buf.to_vec());
-            break;
-        };
-        let end = (he + 4).saturating_add(len).min(buf.len());
+        let end = usize::try_from(len)
+            .map_or(buf.len(), |len| body_at.saturating_add(len).min(buf.len()));
         frames.push(buf[..end].to_vec());
         buf = &buf[end..];
     }
     frames
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use matchmaker::service::DEFAULT_MAX_BODY_BYTES;
+    use matchmaker::{decode_request, encode_request, template_app, PlanRequest, ServiceError};
+
+    /// The verdicts `serve` gives a stream: one per frame the splitter cuts.
+    fn verdicts(stream: &[u8]) -> Vec<Result<(), ServiceError>> {
+        split_frames(stream)
+            .iter()
+            .map(|f| decode_request(f, DEFAULT_MAX_BODY_BYTES).map(drop))
+            .collect()
+    }
+
+    fn frame(headers: &str, body: &str) -> Vec<u8> {
+        format!("POST /plan HTTP/1.1\r\n{headers}\r\n\r\n{body}").into_bytes()
+    }
+
+    fn bad_frame_reason(verdict: &Result<(), ServiceError>) -> &str {
+        match verdict {
+            Err(ServiceError::BadFrame { reason }) => reason,
+            other => panic!("expected a bad frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_end_the_stream_with_one_bad_frame() {
+        let good = encode_request(&PlanRequest {
+            id: 1,
+            client: "t".into(),
+            app: template_app(5),
+            config: None,
+            what_if: false,
+            deadline_us: None,
+        });
+        let at = frame_head(&good)
+            .expect("a generated frame has a head")
+            .body_at;
+        let body = std::str::from_utf8(&good[at..]).expect("bodies are UTF-8");
+        let n = body.len();
+        let twice = frame(
+            &format!("content-length: {n}\r\ncontent-length: {}", n + 5),
+            body,
+        );
+        let got = verdicts(&[good.clone(), twice, good.clone()].concat());
+        assert_eq!(got.len(), 2, "the good frame, then the rest as one");
+        assert!(got[0].is_ok());
+        let reason = bad_frame_reason(&got[1]);
+        assert!(reason.starts_with("conflicting content-length"), "{reason}");
+        // The same length twice is one claim.
+        let same = frame(&format!("content-length: {n}\r\nContent-Length: {n}"), body);
+        let got = verdicts(&[same, good].concat());
+        assert_eq!(got.len(), 2);
+        assert!(got.iter().all(Result::is_ok), "{got:?}");
+    }
+
+    #[test]
+    fn whitespace_before_the_colon_is_one_bad_frame_for_splitter_and_decoder() {
+        let stream = [
+            frame("content-length : 2", "{}"),
+            frame("content-length: 2", "{}"),
+        ]
+        .concat();
+        let got = verdicts(&stream);
+        assert_eq!(got.len(), 1, "the splitter cannot delimit the frame");
+        let reason = bad_frame_reason(&got[0]);
+        assert!(reason.starts_with("whitespace before `:`"), "{reason}");
+    }
 }

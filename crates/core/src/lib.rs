@@ -83,10 +83,10 @@ pub use profile::{ProfileStore, RateProfile};
 pub use ranking::{best_strategy, escalation_target, rank_of, ranking, SyncMode};
 pub use robustness::DegradationEntry;
 pub use service::{
-    check_shed_or_serve, decode_request, encode_request, encode_response, generate_load, run_load,
-    template_app, Arrival, ChaosEvent, ChaosSchedule, LoadConfig, LoadOutcome, PlanRequest,
-    PlanResponse, PlanService, RateLimit, ServiceConfig, ServiceError, ServiceOutcome,
-    CHAOS_STREAM, LOAD_STREAM,
+    check_shed_or_serve, decode_request, encode_request, encode_response, frame_head,
+    generate_load, run_load, template_app, Arrival, ChaosEvent, ChaosSchedule, FrameHead,
+    LoadConfig, LoadOutcome, PlanRequest, PlanResponse, PlanService, RateLimit, ServiceConfig,
+    ServiceError, ServiceOutcome, CHAOS_STREAM, LOAD_STREAM,
 };
 pub use strategy::{ExecutionConfig, Strategy};
 pub use stream::STREAM_STRATEGY_LABEL;

@@ -255,32 +255,49 @@ impl std::error::Error for ServiceError {}
 pub const DEFAULT_MAX_BODY_BYTES: u64 = 64 * 1024;
 
 const REQUEST_LINE: &str = "POST /plan HTTP/1.1";
+const LENGTH_FIELD: &str = "\r\ncontent-length: ";
+const HEADER_END: &str = "\r\n\r\n";
+
+/// A frame: `start_line`, a `content-length` header, a blank line and
+/// `body`'s JSON. The body's length goes before it, so the body is written
+/// first into a temporary buffer sized for a typical frame; the frame is
+/// then assembled once at its exact size, since arrivals keep their frames
+/// for the whole run and a service window holds a thousand responses.
+fn frame<T: Serialize + ?Sized>(start_line: &str, body: &T) -> String {
+    let mut w = serde::json::Writer::compact_into(String::with_capacity(1024));
+    body.write_json(&mut w);
+    let body = w.into_string();
+    let length = body.len().to_string();
+    let parts = [start_line, LENGTH_FIELD, &length, HEADER_END, &body];
+    let mut out = String::with_capacity(parts.iter().map(|p| p.len()).sum());
+    parts.iter().for_each(|p| out.push_str(p));
+    out
+}
 
 /// Encode `req` as its canonical wire frame: a `POST /plan` request line,
 /// a `content-length` header, a blank line, then the JSON body.
 pub fn encode_request(req: &PlanRequest) -> Vec<u8> {
-    let body = serde_json::to_string(req).expect("PlanRequest serializes");
-    format!(
-        "{REQUEST_LINE}\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
+    frame(REQUEST_LINE, req).into_bytes()
 }
 
-/// Decode one wire frame. Total over arbitrary bytes: every input yields
-/// either a [`PlanRequest`] or a typed [`ServiceError`] — no panics, no
-/// hangs, and bodies larger than `max_body` are rejected on the *claimed*
-/// length before a single body byte is examined.
-pub fn decode_request(bytes: &[u8], max_body: u64) -> Result<PlanRequest, ServiceError> {
-    // Header section must be ASCII-clean up to the blank line.
-    let mut split = None;
-    for i in 0..bytes.len().saturating_sub(3) {
-        if &bytes[i..i + 4] == b"\r\n\r\n" {
-            split = Some(i);
-            break;
-        }
-    }
-    let Some(head_end) = split else {
+/// A frame's header block: the bytes before its first blank line, which
+/// must be UTF-8. The decoder and `matchmake serve`'s stream splitter both
+/// read frames through [`frame_head`], so they cut and reject alike.
+#[derive(Clone, Copy, Debug)]
+pub struct FrameHead<'a> {
+    /// The header block, `\r\n`-separated: the request line, then the
+    /// header lines.
+    head: &'a str,
+    /// Offset of the first body byte, just past the blank line.
+    pub body_at: usize,
+}
+
+/// Find the header block at the start of `bytes`.
+pub fn frame_head(bytes: &[u8]) -> Result<FrameHead<'_>, ServiceError> {
+    let Some(head_end) = bytes
+        .windows(4)
+        .position(|w| matches!(w, [b'\r', b'\n', b'\r', b'\n']))
+    else {
         return Err(ServiceError::BadFrame {
             reason: "missing header terminator".into(),
         });
@@ -288,38 +305,86 @@ pub fn decode_request(bytes: &[u8], max_body: u64) -> Result<PlanRequest, Servic
     let head = std::str::from_utf8(&bytes[..head_end]).map_err(|_| ServiceError::BadFrame {
         reason: "headers are not UTF-8".into(),
     })?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
+    Ok(FrameHead {
+        head,
+        body_at: head_end + HEADER_END.len(),
+    })
+}
+
+impl<'a> FrameHead<'a> {
+    /// The first line.
+    pub fn request_line(&self) -> &'a str {
+        self.lines().next().unwrap_or_default()
+    }
+
+    /// The block's lines, as `split("\r\n")` cuts them.
+    fn lines(&self) -> impl Iterator<Item = &'a str> {
+        let mut rest = Some(self.head);
+        std::iter::from_fn(move || {
+            let line = rest?;
+            let cut = line
+                .as_bytes()
+                .windows(2)
+                .position(|w| matches!(w, [b'\r', b'\n']));
+            rest = cut.map(|i| &line[i + 2..]);
+            Some(cut.map_or(line, |i| &line[..i]))
+        })
+    }
+
+    /// The body length the `content-length` header claims. Every header
+    /// line needs a `:` with no whitespace before it (RFC 9112 §5.1), and
+    /// repeated `content-length` headers must agree (RFC 9112 §6.3): a
+    /// frame that breaks either rule cannot be delimited.
+    pub fn content_length(&self) -> Result<u64, ServiceError> {
+        let bad = |reason: String| ServiceError::BadFrame { reason };
+        let mut claim = None;
+        for line in self.lines().skip(1) {
+            let Some((name, value)) = line.split_once(':') else {
+                return Err(bad(format!("malformed header line {line:?}")));
+            };
+            if name.ends_with(|c: char| c.is_ascii_whitespace()) {
+                return Err(bad(format!(
+                    "whitespace before `:` in header line {line:?}"
+                )));
+            }
+            if !name.eq_ignore_ascii_case("content-length") {
+                continue;
+            }
+            let n: u64 = value
+                .trim()
+                .parse()
+                .map_err(|_| bad(format!("unparseable content-length {:?}", value.trim())))?;
+            if let Some(first) = claim.filter(|&first| first != n) {
+                return Err(bad(format!(
+                    "conflicting content-length headers {first} and {n}"
+                )));
+            }
+            claim = Some(n);
+        }
+        claim.ok_or_else(|| bad("missing content-length header".into()))
+    }
+}
+
+/// Decode one wire frame. Total over arbitrary bytes: every input yields
+/// either a [`PlanRequest`] or a typed [`ServiceError`] — no panics, no
+/// hangs, and bodies larger than `max_body` are rejected on the *claimed*
+/// length before a single body byte is examined.
+pub fn decode_request(bytes: &[u8], max_body: u64) -> Result<PlanRequest, ServiceError> {
+    let head = frame_head(bytes)?;
+    let request_line = head.request_line();
     if request_line != REQUEST_LINE {
         return Err(ServiceError::BadFrame {
             reason: format!("unsupported request line {request_line:?}"),
         });
     }
-    let mut content_length: Option<u64> = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(ServiceError::BadFrame {
-                reason: format!("malformed header line {line:?}"),
-            });
-        };
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = Some(value.trim().parse().map_err(|_| ServiceError::BadFrame {
-                reason: format!("unparseable content-length {:?}", value.trim()),
-            })?);
-        }
-    }
-    let Some(want) = content_length else {
-        return Err(ServiceError::BadFrame {
-            reason: "missing content-length header".into(),
-        });
-    };
+    let want = head.content_length()?;
     if want > max_body {
         return Err(ServiceError::Oversized {
             bytes: want,
             limit: max_body,
         });
     }
-    let body = &bytes[head_end + 4..];
+    let body = &bytes[head.body_at..];
     let got = body.len() as u64;
     if got < want {
         return Err(ServiceError::TornBody { got, want });
@@ -339,12 +404,8 @@ pub fn decode_request(bytes: &[u8], max_body: u64) -> Result<PlanRequest, Servic
 
 /// Encode a terminal response as its wire frame (status line + JSON body).
 pub fn encode_response(result: &Result<PlanResponse, ServiceError>) -> String {
-    let (status, reason, body) = match result {
-        Ok(resp) => (
-            200,
-            "OK",
-            serde_json::to_string(resp).expect("PlanResponse serializes"),
-        ),
+    match result {
+        Ok(resp) => frame("HTTP/1.1 200 OK", resp),
         Err(e) => {
             let reason = match e.status() {
                 400 => "Bad Request",
@@ -354,17 +415,9 @@ pub fn encode_response(result: &Result<PlanResponse, ServiceError>) -> String {
                 504 => "Gateway Timeout",
                 _ => "Error",
             };
-            (
-                e.status(),
-                reason,
-                serde_json::to_string(e).expect("ServiceError serializes"),
-            )
+            frame(&format!("HTTP/1.1 {} {reason}", e.status()), e)
         }
-    };
-    format!(
-        "HTTP/1.1 {status} {reason}\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    )
+    }
 }
 
 // ---------------------------------------------------------------------------

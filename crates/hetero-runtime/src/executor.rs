@@ -688,6 +688,8 @@ struct Sim<'a> {
     per_kernel: Vec<KernelStats>,
 
     recs: Vec<TaskRec>,
+    /// How many of `recs` are `Life::Done`.
+    done: usize,
     /// The latest attempt generation drawn ([`Attempt::gen`]).
     gen: u32,
     dev_state: Vec<DevState>,
@@ -830,6 +832,7 @@ impl<'a> Sim<'a> {
                     corrupt: false,
                 })
                 .collect(),
+            done: 0,
             gen: 0,
             dev_state: vec![DevState::Up; ndev],
             graph,
@@ -1602,6 +1605,7 @@ impl<'a> Sim<'a> {
     fn on_task_done(&mut self, t: TaskId, a: Attempt) {
         let dev = a.dev;
         self.recs[t.0].life = Life::Done(dev);
+        self.done += 1;
         self.free_slots[dev.0] += 1;
         self.dev_last_done[dev.0] = self.dev_last_done[dev.0].max(self.now);
         if self.obs.enabled() {
@@ -1823,6 +1827,7 @@ impl<'a> Sim<'a> {
         for &t in drained.iter().chain(&killed).chain(&resets) {
             self.recs[t.0].life = Life::Waiting;
         }
+        self.done -= resets.len();
         // Re-arm the dependences the resets had satisfied. Every consumer
         // regains an unsatisfied dependence — the reset producer's
         // re-completion will decrement it again — but only consumers that
@@ -2125,6 +2130,7 @@ impl<'a> Sim<'a> {
         rec.suppress_complete = true;
         rec.corrupt = false;
         rec.life = Life::Done(peer);
+        self.done += 1;
         self.blame[peer.0].compute += hspan;
         self.free_slots[peer.0] += 1;
         self.dev_last_done[peer.0] = self.dev_last_done[peer.0].max(self.now);
@@ -2280,6 +2286,7 @@ impl<'a> Sim<'a> {
             rec.corrupt = false;
             rec.life = Life::Waiting;
         }
+        self.done -= epoch_tasks.len();
         // Re-arm every dependence the epoch's completions had satisfied;
         // re-completions will satisfy them again.
         for &t in &epoch_tasks {
@@ -2891,11 +2898,17 @@ impl<'a> Sim<'a> {
         let record = EpochRecord {
             epoch,
             at: self.now,
-            completed: self
-                .recs
-                .iter()
-                .filter(|r| matches!(r.life, Life::Done(_)))
-                .count() as u64,
+            completed: {
+                debug_assert_eq!(
+                    self.done,
+                    self.recs
+                        .iter()
+                        .filter(|r| matches!(r.life, Life::Done(_)))
+                        .count(),
+                    "the completed-task count matches the records"
+                );
+                self.done as u64
+            },
             placements,
             rng: RngCursors {
                 fault: self.faults.as_ref().map(|f| f.rng.cursor()),

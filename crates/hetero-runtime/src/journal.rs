@@ -44,6 +44,7 @@
 //! every further line one [`EpochRecord`].
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use hetero_platform::{
     fnv1a_64, validate_version, FaultCounters, KillSchedule, PlatformCounters, SimTime,
@@ -295,14 +296,8 @@ impl std::error::Error for JournalError {}
 
 const HASH_PREFIX: &str = "{\"h\":\"";
 const BODY_PREFIX: &str = "\",\"body\":";
-
-/// Wrap `body` (a serialized JSON document) in the integrity envelope.
-fn encode_line(body: &str) -> String {
-    format!(
-        "{HASH_PREFIX}{:016x}{BODY_PREFIX}{body}}}",
-        fnv1a_64(body.as_bytes())
-    )
-}
+/// Where the hash goes until the body it covers has been written.
+const HASH_PLACEHOLDER: &str = "0000000000000000";
 
 /// Validate a line's envelope and hash; return the raw body substring.
 /// Purely textual — the body is *extracted*, never re-serialized — so the
@@ -473,27 +468,24 @@ impl std::fmt::Display for SalvageReport {
     }
 }
 
-enum SinkMode {
-    /// A fresh run: every record is appended.
-    Record,
-    /// A resumed run: the first `bodies.len()` records are byte-validated
-    /// against the loaded journal, then appending continues.
-    Resume,
-}
-
 /// The executor-facing journal writer. In-memory and append-only; the
 /// caller persists [`JournalSink::text`] (the CLI writes it back to the
 /// journal path after the run — and after a [`JournalError::Killed`], to
 /// model exactly what the dying coordinator managed to flush).
+///
+/// The whole journal is one buffer: the header and each record are
+/// serialized straight into it inside their envelope, and the hash is
+/// patched over its placeholder once the body is written.
 pub struct JournalSink {
-    mode: SinkMode,
     kill: Option<KillSchedule>,
-    began: bool,
-    header_line: Option<String>,
-    lines: Vec<String>,
-    /// A half-written line the injected kill tore (no trailing newline).
-    torn_tail: Option<String>,
+    /// The journal's on-disk text: the committed lines, each
+    /// newline-terminated, then the torn half-line an injected kill left.
+    text: String,
+    /// Bytes of `text` in committed lines (0 until `begin`).
+    committed: usize,
     records: u64,
+    /// Resume only: the stored header and record bodies the redo-replay
+    /// is byte-compared against.
     replay_header_body: Option<String>,
     replay_bodies: Vec<String>,
 }
@@ -502,12 +494,9 @@ impl JournalSink {
     /// A sink for a fresh journaled run.
     pub fn record() -> Self {
         JournalSink {
-            mode: SinkMode::Record,
             kill: None,
-            began: false,
-            header_line: None,
-            lines: Vec::new(),
-            torn_tail: None,
+            text: String::new(),
+            committed: 0,
             records: 0,
             replay_header_body: None,
             replay_bodies: Vec::new(),
@@ -528,11 +517,35 @@ impl JournalSink {
         let header_body = serde_json::to_string(&journal.header)
             .expect("journal header serialization cannot fail");
         JournalSink {
-            mode: SinkMode::Resume,
             replay_header_body: Some(header_body),
             replay_bodies: journal.bodies.clone(),
             ..JournalSink::record()
         }
+    }
+
+    /// Write `value`'s envelope line after the committed lines (replacing
+    /// any torn tail) and return the range of its body. The line is not
+    /// committed yet.
+    fn write_line<T: Serialize>(&mut self, value: &T) -> Range<usize> {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.text.truncate(self.committed);
+        self.text.push_str(HASH_PREFIX);
+        self.text.push_str(HASH_PLACEHOLDER);
+        self.text.push_str(BODY_PREFIX);
+        let start = self.text.len();
+        let mut w = serde::json::Writer::compact_into(std::mem::take(&mut self.text));
+        value.write_json(&mut w);
+        self.text = w.into_string();
+        let body = start..self.text.len();
+        self.text.push_str("}\n");
+        let h = fnv1a_64(self.text[body.clone()].as_bytes());
+        let hex: [u8; 16] = std::array::from_fn(|i| HEX[(h >> (60 - 4 * i)) as usize & 15]);
+        let at = self.committed + HASH_PREFIX.len();
+        self.text.replace_range(
+            at..at + HASH_PLACEHOLDER.len(),
+            std::str::from_utf8(&hex).expect("hex digits are ASCII"),
+        );
+        body
     }
 
     /// Open the journal with `header`. Record mode commits the header
@@ -540,20 +553,17 @@ impl JournalSink {
     /// loaded journal's, so a resume under different inputs is rejected
     /// before any simulation happens.
     pub fn begin(&mut self, header: &JournalHeader) -> Result<(), JournalError> {
-        let body = serde_json::to_string(header).expect("journal header serialization cannot fail");
-        if let SinkMode::Resume = self.mode {
-            let stored = self
-                .replay_header_body
-                .as_deref()
-                .expect("resume sink holds the stored header");
-            if stored != body {
+        assert_eq!(self.committed, 0, "JournalSink::begin runs once");
+        let body = self.write_line(header);
+        if let Some(stored) = &self.replay_header_body {
+            if self.text[body] != **stored {
+                self.text.clear();
                 return Err(JournalError::HeaderMismatch {
                     field: "header body".to_string(),
                 });
             }
         }
-        self.header_line = Some(encode_line(&body));
-        self.began = true;
+        self.committed = self.text.len();
         Ok(())
     }
 
@@ -562,33 +572,36 @@ impl JournalSink {
     /// appended). A configured record-kill fires *instead of* the append
     /// and surfaces as [`JournalError::Killed`].
     pub fn append_epoch(&mut self, record: &EpochRecord) -> Result<bool, JournalError> {
-        assert!(self.began, "JournalSink::begin must run before records");
-        let body = serde_json::to_string(record).expect("epoch record serialization cannot fail");
-        if (self.records as usize) < self.replay_bodies.len() {
-            if self.replay_bodies[self.records as usize] != body {
+        assert!(
+            self.committed > 0,
+            "JournalSink::begin must run before records"
+        );
+        let body = self.write_line(record);
+        let replayed = match self.replay_bodies.get(self.records as usize) {
+            Some(stored) if self.text[body] != **stored => {
+                self.text.truncate(self.committed);
                 return Err(JournalError::DivergentReplay {
                     epoch: record.epoch,
                 });
             }
-            self.lines.push(encode_line(&body));
-            self.records += 1;
-            return Ok(true);
-        }
-        if let Some(k) = &self.kill {
+            Some(_) => true,
+            None => false,
+        };
+        if let Some(k) = self.kill.as_ref().filter(|_| !replayed) {
             if k.after_records == Some(self.records) {
-                if k.torn {
-                    let line = encode_line(&body);
-                    self.torn_tail = Some(line[..line.len() / 2].to_string());
-                }
+                // The line without its newline, or none of it.
+                let line = self.text.len() - 1 - self.committed;
+                let kept = if k.torn { line / 2 } else { 0 };
+                self.text.truncate(self.committed + kept);
                 return Err(JournalError::Killed {
                     records: self.records,
                     at: record.at,
                 });
             }
         }
-        self.lines.push(encode_line(&body));
+        self.committed = self.text.len();
         self.records += 1;
-        Ok(false)
+        Ok(replayed)
     }
 
     /// The configured time-kill instant, if any.
@@ -605,19 +618,7 @@ impl JournalSink {
     /// envelope per newline-terminated line, plus the torn tail (no
     /// newline) when the injected kill tore its write.
     pub fn text(&self) -> String {
-        let mut out = String::new();
-        if let Some(h) = &self.header_line {
-            out.push_str(h);
-            out.push('\n');
-        }
-        for line in &self.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        if let Some(t) = &self.torn_tail {
-            out.push_str(t);
-        }
-        out
+        self.text.clone()
     }
 }
 

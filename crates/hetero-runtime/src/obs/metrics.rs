@@ -73,13 +73,22 @@ impl LogHistogram {
         let ns = t.as_nanos();
         self.count += 1;
         self.sum_nanos = self.sum_nanos.saturating_add(ns);
-        for (i, b) in self.buckets.iter_mut().enumerate() {
-            if ns <= HISTOGRAM_BASE_NANOS << i {
-                *b += 1;
-                return;
-            }
+        match self.buckets.get_mut(Self::bucket(ns)) {
+            Some(b) => *b += 1,
+            None => self.overflow += 1,
         }
-        self.overflow += 1;
+    }
+
+    /// The bucket `ns` falls in: the smallest `i` with
+    /// `ns <= HISTOGRAM_BASE_NANOS << i`, which is `⌈log2 ⌈ns / base⌉⌉`;
+    /// `HISTOGRAM_BUCKETS` or more is the overflow bucket.
+    fn bucket(ns: u64) -> usize {
+        let q = ns.div_ceil(HISTOGRAM_BASE_NANOS);
+        if q <= 1 {
+            0
+        } else {
+            (u64::BITS - (q - 1).leading_zeros()) as usize
+        }
     }
 
     /// Merge another histogram into this one (bucketwise addition).
@@ -1045,6 +1054,39 @@ mod tests {
         assert_eq!(h.buckets[0], 1);
         assert_eq!(h.buckets[2], 1);
         assert_eq!(h.overflow, 1);
+    }
+
+    #[test]
+    fn bucket_index_matches_the_bound_scan() {
+        // The definition: the first bucket whose bound holds `ns`.
+        let scan = |ns: u64| {
+            (0..HISTOGRAM_BUCKETS)
+                .find(|&i| ns <= HISTOGRAM_BASE_NANOS << i)
+                .unwrap_or(HISTOGRAM_BUCKETS)
+        };
+        let index = |ns: u64| LogHistogram::bucket(ns).min(HISTOGRAM_BUCKETS);
+        let mut probes = vec![0, 1, u64::MAX - 1, u64::MAX];
+        for i in 0..64 {
+            if let Some(bound) = HISTOGRAM_BASE_NANOS.checked_mul(1 << i) {
+                probes.extend([bound - 1, bound, bound + 1]);
+            }
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..200_000 {
+            // xorshift64, spread over every magnitude by a random shift.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            probes.push(x >> (x % 64));
+        }
+        for ns in probes {
+            assert_eq!(index(ns), scan(ns), "ns = {ns}");
+            let mut h = LogHistogram::default();
+            h.observe(SimTime::from_nanos(ns));
+            let landed = h.buckets.iter().position(|&c| c == 1);
+            assert_eq!(landed.unwrap_or(HISTOGRAM_BUCKETS), scan(ns), "ns = {ns}");
+            assert_eq!(h.overflow, u64::from(landed.is_none()));
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! A counting global allocator pins the hot paths: once a series exists,
 //! registry updates and the metrics observer's per-task and per-transfer
-//! hooks must not touch the heap, and a snapshot barrier must not copy a
-//! name, help text or label list per changed series. A property test
+//! hooks must not touch the heap, a snapshot barrier must not copy a
+//! name, help text or label list per changed series, and a journal record
+//! is written straight into the journal's one buffer. A property test
 //! checks that the allocation-free lookup finds exactly the series a fresh
 //! insert would create, whatever order the labels come in, and that the
 //! order series first appear in (their slots) shows in no export.
@@ -12,9 +13,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use hetero_platform::{DeviceId, MemSpaceId, Platform, SimTime};
+use hetero_platform::{DeviceId, FaultCounters, MemSpaceId, Platform, PlatformCounters, SimTime};
 use hetero_runtime::{
-    EpochSnapshot, KernelId, MetricsObserver, MetricsRegistry, Observer, SeriesValue,
+    DeviceBreakdown, EpochRecord, EpochSnapshot, JournalHeader, JournalSink, KernelId,
+    MetricsObserver, MetricsRegistry, Observer, RngCursors, RunJournal, SeriesValue,
     SnapshotObserver, TaskId,
 };
 use proptest::prelude::*;
@@ -157,6 +159,37 @@ fn task_and_transfer_hooks_do_not_allocate_once_warm() {
         SeriesValue::Counter(c) => assert_eq!(*c, 4),
         other => panic!("counter expected, got {other:?}"),
     }
+}
+
+#[test]
+fn journal_records_are_written_in_place() {
+    let record = |epoch: usize| EpochRecord {
+        epoch,
+        at: SimTime::from_micros(10 * epoch as u64 + 3),
+        completed: 4 * epoch as u64,
+        placements: vec![(4 * epoch, 0), (4 * epoch + 1, 1), (4 * epoch + 2, 1)],
+        rng: RngCursors {
+            fault: Some(0x9E37_79B9 ^ epoch as u64),
+            health: Some(epoch as u64),
+            ..RngCursors::default()
+        },
+        faults: FaultCounters::default(),
+        blame: vec![DeviceBreakdown::default(); 2],
+        counters: PlatformCounters::new(2),
+    };
+    let records: Vec<EpochRecord> = (0..1000).map(record).collect();
+    let mut sink = JournalSink::record();
+    sink.begin(&JournalHeader::new(Some(7)).with_input("app", "{}".to_string()))
+        .expect("a recording sink opens");
+    let n = allocations(|| {
+        for r in &records {
+            sink.append_epoch(r).expect("a recording sink appends");
+        }
+    });
+    // The buffer's growth, not one body and one envelope per record.
+    assert!(n < 32, "1,000 appends allocated {n} times");
+    let journal = RunJournal::load(&sink.text()).expect("the journal loads back");
+    assert_eq!(journal.records, records);
 }
 
 /// Series names: two counters whose names share a prefix, and a histogram.

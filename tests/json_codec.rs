@@ -17,7 +17,7 @@ use hetero_match::matchmaker::{
 use hetero_match::platform::{FaultRng, FaultTrace, Platform, SimTime};
 use hetero_match::runtime::{
     fold_stream, AdaptConfig, EpochRecord, EpochSnapshot, HealthConfig, JournalHeader,
-    MetricsRegistry, ReplanConfig, RunReport, SnapshotObserver,
+    MetricsRegistry, ReplanConfig, RngCursors, RunReport, SnapshotObserver,
 };
 use serde::json::Reader;
 use serde::{Deserialize, Serialize};
@@ -490,4 +490,250 @@ fn writer_escapes_and_number_forms_match_the_reference_rules() {
         serde_json::to_string_pretty(&v).unwrap(),
         "{\n  \"a\": [],\n  \"b\": [\n    []\n  ]\n}"
     );
+}
+
+/// The writer's escaping rules, one byte at a time: the reference for the
+/// word-at-a-time scan.
+fn escaped(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// `s` written, compared with the reference escaping, and read back on
+/// the direct and tree paths.
+fn string_round_trip(s: &str) {
+    let text = serde_json::to_string(s).unwrap();
+    assert_eq!(text, escaped(s), "writing {s:?}");
+    assert_eq!(serde_json::from_str::<String>(&text).unwrap(), s);
+    assert_eq!(
+        serde_json::from_str::<Value>(&text).unwrap(),
+        Value::Str(s.to_string())
+    );
+    // As a key, where the reader's one-pass key scan applies.
+    let text = format!("{{{text}:1}}");
+    let v: Value = serde_json::from_str(&text).unwrap();
+    assert_eq!(v.as_map().unwrap()[0].0, s, "key {s:?}");
+    same::<RngCursors>("escape in an unknown key", &text);
+}
+
+#[test]
+fn strings_escape_and_read_back_at_every_offset_of_a_word() {
+    let specials: Vec<char> = ['"', '\\']
+        .into_iter()
+        .chain((0u8..0x20).map(char::from))
+        .collect();
+    for len in 0..=40 {
+        string_round_trip(&"a".repeat(len));
+        for at in 0..len {
+            for &c in &specials {
+                let s: String = (0..len).map(|i| if i == at { c } else { 'x' }).collect();
+                string_round_trip(&s);
+            }
+        }
+    }
+    // Multi-byte characters straddling 8-byte words, next to escapes and
+    // next to bytes the scans must not take for `"` or `\` (0xa2, 0xdc in
+    // UTF-8 continuation bytes; DEL).
+    for lead in 0..16 {
+        for c in ['é', '€', '😀', '\u{22a2}', '\u{5cdc}', '\u{7f}'] {
+            let mut s = "y".repeat(lead);
+            for _ in 0..3 {
+                s.push(c);
+                s.push('"');
+                s.push(c);
+                s.push('\u{1}');
+            }
+            string_round_trip(&s);
+        }
+    }
+}
+
+#[test]
+fn integers_at_every_digit_count_write_and_read_back() {
+    let mut unsigned = vec![0u64, u64::MAX, u64::MAX - 1];
+    let mut p = 1u64;
+    while let Some(next) = p.checked_mul(10) {
+        unsigned.extend([p - 1, p, p + 1, next - 1]);
+        p = next;
+    }
+    unsigned.extend([p - 1, p, p + 1]);
+    for &n in &unsigned {
+        let text = serde_json::to_string(&n).unwrap();
+        assert_eq!(text, n.to_string());
+        assert_eq!(serde_json::from_str::<u64>(&text).unwrap(), n);
+        same::<u64>("u64", &text);
+        same::<i64>("u64 as i64", &text);
+        same::<u32>("u64 as u32", &text);
+        same::<f64>("u64 as f64", &text);
+    }
+    let mut signed = vec![i64::MIN, i64::MIN + 1, i64::MAX, -1, 0];
+    signed.extend(
+        unsigned
+            .iter()
+            .filter_map(|&n| i64::try_from(n).ok())
+            .flat_map(|n| [n, -n]),
+    );
+    for &n in &signed {
+        let text = serde_json::to_string(&n).unwrap();
+        assert_eq!(text, n.to_string());
+        assert_eq!(serde_json::from_str::<i64>(&text).unwrap(), n);
+        same::<i64>("i64", &text);
+        same::<u64>("i64 as u64", &text);
+        same::<i8>("i64 as i8", &text);
+        same::<f64>("i64 as f64", &text);
+    }
+}
+
+/// `Display`'s shortest form with the writer's rules: a `.0` when it reads
+/// as an integer, `null` when not finite.
+fn float_text(x: f64) -> String {
+    if !x.is_finite() {
+        return "null".into();
+    }
+    let s = x.to_string();
+    if s.contains(['.', 'e', 'E']) {
+        s
+    } else {
+        s + ".0"
+    }
+}
+
+#[test]
+fn floats_write_in_shortest_form_and_read_back_exactly() {
+    let two53 = (1u64 << 53) as f64;
+    let mut floats = vec![
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        5e-324,
+        f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        0.1,
+        0.3,
+        1.0 / 3.0,
+    ];
+    for k in -4i32..=4 {
+        floats.extend([two53 + f64::from(k), -(two53 + f64::from(k))]);
+    }
+    for e in 15..=17 {
+        let p = 10f64.powi(e);
+        floats.extend([p, -p, p + 1.0, p - 1.0, p + 0.5, p * 1.5]);
+    }
+    // Every kind of bit pattern: integral, fractional, huge and tiny.
+    let mut x = 0x2545_F491_4F6C_DD1D_u64;
+    for _ in 0..20_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let f = f64::from_bits(x);
+        floats.extend([f, f.trunc(), (f.to_bits() % 1_000_000_007) as f64 / 1024.0]);
+    }
+    for &f in &floats {
+        let text = serde_json::to_string(&f).unwrap();
+        assert_eq!(text, float_text(f), "writing {f:e}");
+        if f.is_finite() {
+            let back: f64 = serde_json::from_str(&text).unwrap();
+            assert_eq!(back.to_bits(), f.to_bits(), "{text}");
+            same::<f64>("float", &text);
+        }
+    }
+    for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(serde_json::to_string(&f).unwrap(), "null");
+        same::<Option<f64>>("non-finite", "null");
+    }
+    // Decimal text the writer never makes, read as Rust parses it (text
+    // without a fraction or exponent is an integer, and `-0` is +0.0).
+    for mantissa in [
+        "0",
+        "1",
+        "7",
+        "25",
+        "9007199254740993",
+        "123456789012345678",
+    ] {
+        for frac in [".0", ".5", ".000001", ".1234567890123"] {
+            for exp in [
+                "", "e0", "e-5", "E+22", "e22", "e23", "e-22", "e-23", "e308", "e-330",
+            ] {
+                for sign in ["", "-"] {
+                    let text = format!("{sign}{mantissa}{frac}{exp}");
+                    let want: f64 = text.parse().unwrap();
+                    let got: f64 = serde_json::from_str(&text).unwrap();
+                    assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+                    same::<f64>("decimal text", &text);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn direct_scalar_reads_match_the_tree_at_the_edges() {
+    let texts = [
+        "007",
+        "-0",
+        "-0.0",
+        "0e0",
+        "1e400",
+        "-1e400",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "1.",
+        "-.5",
+        "1.e5",
+        "1e",
+        "1-2",
+        "--1",
+        "-",
+        "2.5",
+        "1e2",
+        "true",
+        "false",
+        "null",
+        "\"1\"",
+        "[1]",
+        " 7 ",
+    ];
+    for text in texts {
+        same::<u64>("u64", text);
+        same::<u8>("u8", text);
+        same::<i64>("i64", text);
+        same::<i16>("i16", text);
+        same::<f64>("f64", text);
+        same::<f32>("f32", text);
+        same::<bool>("bool", text);
+        same::<Option<u64>>("Option<u64>", text);
+    }
+    // `-0` reads as +0.0 on both paths; `1e400` as infinity.
+    let x: f64 = serde_json::from_str("-0").unwrap();
+    assert!(x == 0.0 && x.is_sign_positive());
+    assert_eq!(serde_json::from_str::<f64>("1e400").unwrap(), f64::INFINITY);
+    assert_eq!(serde_json::from_str::<u64>("007").unwrap(), 7);
+    // Escaped, duplicate and spaced keys around scalar fields.
+    for text in [
+        r#"{"fault":1,"correlated":null,"health":2,"adapt":null,"replan":3}"#,
+        r#"{"fault":1,"fault":9,"correlated":null,"health":2,"adapt":null,"replan":3}"#,
+        r#"{ "fault" : 1 , "correlated":null,"health":2,"adapt":null,"replan":3 }"#,
+        r#"{"fault":-0,"correlated":007,"health":2,"adapt":null,"replan":3}"#,
+        r#"{"fault":1e400,"correlated":null,"health":2,"adapt":null,"replan":3}"#,
+        r#"{"fault\"":1,"correlated":null,"health":2,"adapt":null,"replan":3}"#,
+    ] {
+        same::<RngCursors>("cursor keys", text);
+    }
 }
